@@ -866,7 +866,7 @@ let print_response i = function
         message
   | Proto.Pong _ | Proto.Stats_reply _ | Proto.Shutting_down
   | Proto.Health_reply _ | Proto.Op _ | Proto.Repl_heartbeat _
-  | Proto.Promoted _ ->
+  | Proto.Promoted _ | Proto.Patch _ ->
       Format.printf "response %d: unexpected@." i
 
 let client_solve_cmd =

@@ -836,6 +836,10 @@ let ooc =
    from-scratch canonical resolve of the delta'd instance, passes the
    full independent certificate at the engine's claimed maxcolor, and
    that Repaired provenance stayed within the repair budget. The
+   engine's changed-cell list and digest — what a patch reply is built
+   from — must also hold up: writing the listed cells' new starts into
+   the pre-apply coloring reproduces the post-apply one, and the
+   maintained digest equals a from-scratch one. The
    stream derives from the instance hash, so a plain instance repro
    replays it; repro files may instead carry explicit delta lines,
    which enter through [incremental_check]. *)
@@ -856,6 +860,7 @@ let incremental_check inst deltas =
         match Delta.apply_pure !pure d with
         | Error e -> O.failf "delta %d (%s): %s" i (Delta.describe d) e
         | Ok inst' -> (
+            let before = Inc.starts t in
             match Inc.apply t d with
             | Error e ->
                 O.failf "delta %d (%s): engine: %s" i (Delta.describe d)
@@ -889,6 +894,27 @@ let incremental_check inst deltas =
                             O.check (mc = o.Inc.maxcolor)
                               "delta %d: engine maxcolor %d, certified %d" i
                               o.Inc.maxcolor mc);
+                      (fun () ->
+                        let cells = Inc.changed t in
+                        let patched = Array.make (Array.length got) (-1) in
+                        Array.blit before 0 patched 0 (Array.length before);
+                        Array.iter (fun v -> patched.(v) <- got.(v)) cells;
+                        let ascending = ref true in
+                        Array.iteri
+                          (fun k v -> if k > 0 && cells.(k - 1) >= v then ascending := false)
+                          cells;
+                        if not !ascending then
+                          O.failf "delta %d (%s): changed cells not strictly ascending"
+                            i (Delta.describe d)
+                        else if patched <> got then
+                          O.failf
+                            "delta %d (%s): changed cells miss vertex %d"
+                            i (Delta.describe d) (first_mismatch got patched)
+                        else
+                          O.check
+                            (Inc.digest t = Inc.digest_of got)
+                            "delta %d: maintained digest %x, from scratch %x"
+                            i (Inc.digest t) (Inc.digest_of got));
                       (fun () ->
                         match o.Inc.provenance with
                         | Inc.Resolved -> O.Pass

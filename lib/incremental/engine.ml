@@ -22,6 +22,21 @@ let error_to_string = function
   | Bad_delta msg -> msg
   | Cert_failed e -> Cert.to_string e
 
+(* The starts digest: a wrapping sum of one mixed term per cell. Each
+   term is a bijection of (cell, start) — an injective affine map
+   followed by odd multiplies and xor-shifts — so replacing one start
+   always moves the sum, and a patch updates it in O(1) per cell. *)
+let[@inline] cell_digest v s =
+  let z = (v * 0x2545f4914f6cdd1d) + s in
+  let z = (z lxor (z lsr 31)) * 0x3c79ac492ba7b653 in
+  let z = (z lxor (z lsr 29)) * 0x1c69b3f74ac4ae35 in
+  z lxor (z lsr 32)
+
+let digest_of starts =
+  let d = ref 0 in
+  Array.iteri (fun v s -> d := !d + cell_digest v s) starts;
+  !d
+
 (* Growable int stack (the per-apply changed-cell list). *)
 type stack = { mutable buf : int array; mutable len : int }
 
@@ -90,6 +105,7 @@ type t = {
   mutable fin : int array;
       (* histogram of finish values s + w over colored cells *)
   mutable maxc : int;
+  mutable digest : int;  (* digest_of starts, kept in step *)
   heap : heap;
   changed : stack;
   inq : (int, int) Hashtbl.t; (* dirty id -> propagation depth *)
@@ -104,6 +120,15 @@ let budget t = t.budget
 let starts t = Array.copy t.starts
 let starts_view t = t.starts
 let maxcolor t = t.maxc
+let digest t = t.digest
+let changed t = Array.sub t.changed.buf 0 t.changed.len
+
+let[@inline] set_start t v s =
+  let old = t.starts.(v) in
+  if s <> old then begin
+    t.digest <- t.digest - cell_digest v old + cell_digest v s;
+    t.starts.(v) <- s
+  end
 
 let[@inline] inc_fin t f =
   if f >= Array.length t.fin then begin
@@ -133,18 +158,31 @@ let rebuild_hist t =
 
 (* Canonical sweep in place: ascending order only ever reads starts of
    already-recomputed smaller ids, so no clearing pass is needed even
-   from a half-repaired state. Returns how many starts changed. *)
+   from a half-repaired state. Returns how many starts the sweep moved.
+   The changed list ends up ascending and duplicate-free: every cell
+   the abandoned repair already touched, plus every cell the sweep
+   moves — together, every cell that may differ from before the
+   delta. *)
 let resolve_in_place t =
-  let changed = ref 0 in
+  let moved = ref 0 in
   let sc = t.sc and starts = t.starts in
+  let touched = Bytes.make t.n '\000' in
+  for i = 0 to t.changed.len - 1 do
+    Bytes.set touched t.changed.buf.(i) '\001'
+  done;
+  t.changed.len <- 0;
   for v = 0 to t.n - 1 do
     let s = Ff.first_fit_below sc ~starts v in
-    if s <> starts.(v) then incr changed;
-    starts.(v) <- s
+    let m = s <> starts.(v) in
+    if m then begin
+      incr moved;
+      set_start t v s
+    end;
+    if m || Bytes.get touched v = '\001' then stack_push t.changed v
   done;
   Ff.flush_stats sc;
   rebuild_hist t;
-  !changed
+  !moved
 
 let rebuild_instance inst w extra_slabs =
   match (inst : Stencil.t).dims with
@@ -171,6 +209,7 @@ let create ?budget inst0 =
         (match budget with Some b -> max 0 b | None -> default_budget inst);
       fin = Array.make (mc + 1) 0;
       maxc = 0;
+      digest = digest_of starts;
       heap = heap_make ();
       changed = stack_make ();
       inq = Hashtbl.create 64;
@@ -204,7 +243,7 @@ let run_repair t ~budget =
          | None -> w.(v)
        in
        let new_s = Ff.first_fit_below t.sc ~starts:t.starts v in
-       t.starts.(v) <- new_s;
+       set_start t v new_s;
        let nw = w.(v) in
        if old_s <> new_s || old_w <> nw then begin
          stack_push t.changed v;
@@ -290,6 +329,9 @@ let apply ?budget t d =
           let n' = Stencil.n_vertices inst' in
           let starts' = Array.make n' (-1) in
           Array.blit t.starts 0 starts' 0 old_n;
+          for v = old_n to n' - 1 do
+            t.digest <- t.digest + cell_digest v (-1)
+          done;
           t.inst <- inst';
           t.sc <- Ff.make_scratch inst';
           t.starts <- starts';

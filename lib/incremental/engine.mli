@@ -81,6 +81,29 @@ val starts_view : t -> int array
 
 val maxcolor : t -> int
 
+(** [cell_digest v s] is cell [v]'s term of a starts digest: a bijective
+    mix of the cell id and its start, so changing one start always
+    changes the digest. *)
+val cell_digest : int -> int -> int
+
+(** [digest_of starts] is the wrapping sum of [cell_digest v starts.(v)]
+    over every cell. Being a sum, it follows a change of one start in
+    O(1): subtract the old term, add the new one. *)
+val digest_of : int array -> int
+
+(** [digest_of (starts_view t)], maintained in O(changed cells) per
+    apply (O(new cells) for an [Extend]). *)
+val digest : t -> int
+
+(** The cells the last successful {!apply} may have moved: ascending,
+    each at most once, covering every cell whose start differs from
+    before the delta — the local repair's front changes and, after a
+    fallback, every cell the full sweep moved. Writing their current
+    starts into the pre-apply coloring (grown with [-1] for the cells
+    an [Extend] added) reproduces {!starts_view}. A superset: a cell
+    whose weight changed but whose start did not may be listed. *)
+val changed : t -> int array
+
 (** [apply ?budget t d] applies one delta, repairing outward from its
     seed cells; [budget] overrides the engine budget for this call
     only. An empty batch is a no-op and reports

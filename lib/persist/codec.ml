@@ -3,21 +3,50 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
 module W = struct
-  type t = Buffer.t
+  (* A growable byte buffer written in place, so a whole int array can
+     be reserved once and filled with unboxed stores. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create () = Buffer.create 256
-  let i64 b v = Buffer.add_int64_le b v
+  let create () = { buf = Bytes.create 256; len = 0 }
+
+  let reserve b k =
+    let need = b.len + k in
+    if need > Bytes.length b.buf then begin
+      let bigger = Bytes.create (max need (2 * Bytes.length b.buf)) in
+      Bytes.blit b.buf 0 bigger 0 b.len;
+      b.buf <- bigger
+    end
+
+  let i64 b v =
+    reserve b 8;
+    Bytes.set_int64_le b.buf b.len v;
+    b.len <- b.len + 8
+
   let int b v = i64 b (Int64.of_int v)
-  let bool b v = Buffer.add_char b (if v then '\001' else '\000')
+
+  let bool b v =
+    reserve b 1;
+    Bytes.set b.buf b.len (if v then '\001' else '\000');
+    b.len <- b.len + 1
+
   let float b v = i64 b (Int64.bits_of_float v)
 
   let string b s =
-    int b (String.length s);
-    Buffer.add_string b s
+    let n = String.length s in
+    int b n;
+    reserve b n;
+    Bytes.blit_string s 0 b.buf b.len n;
+    b.len <- b.len + n
 
   let int_array b a =
-    int b (Array.length a);
-    Array.iter (fun v -> int b v) a
+    let n = Array.length a in
+    reserve b (8 * (n + 1));
+    let buf = b.buf and off = b.len + 8 in
+    Bytes.set_int64_le buf b.len (Int64.of_int n);
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le buf (off + (8 * i)) (Int64.of_int (Array.unsafe_get a i))
+    done;
+    b.len <- off + (8 * n)
 
   let option b f = function
     | None -> bool b false
@@ -29,7 +58,7 @@ module W = struct
     int b (List.length l);
     List.iter (f b) l
 
-  let contents = Buffer.contents
+  let contents b = Bytes.sub_string b.buf 0 b.len
 end
 
 module R = struct
@@ -77,7 +106,16 @@ module R = struct
     (* every element is 8 bytes: reject a lying length before allocating *)
     if n < 0 || n > (String.length r.s - r.pos) / 8 then
       corrupt "bad array length %d" n;
-    Array.init n (fun _ -> int r)
+    let s = r.s and off = r.pos in
+    let a = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let v = String.get_int64_le s (off + (8 * i)) in
+      let x = Int64.to_int v in
+      if Int64.of_int x <> v then corrupt "integer out of native range";
+      Array.unsafe_set a i x
+    done;
+    r.pos <- off + (8 * n);
+    a
 
   let option r f = if bool r then Some (f r) else None
 

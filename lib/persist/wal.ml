@@ -40,6 +40,10 @@ type t = {
   mutable active_index : int;
   mutable bytes : int; (* bytes written to the active segment *)
   mutable head : int; (* total records in the log = next seq *)
+  mutable firsts : (int * int) list;
+      (* (segment index, seq of its first record), newest first: what
+         this writer put where, for [read_range] to check the disk
+         against *)
   mutable closed : bool;
 }
 
@@ -142,11 +146,13 @@ let open_log ?(segment_bytes = 1 lsl 20) ?(fsync = true) ~dir f =
   let records = ref 0 in
   let truncated = ref false in
   let dropped = ref 0 in
+  let firsts = ref [] in
   (* Replay in order; at the first bad frame truncate that file and
      drop everything after it (later segments included). *)
   let rec replay = function
     | [] -> None
     | (index, sealed, path) :: rest -> (
+        firsts := (index, !records) :: !firsts;
         let contents = try read_file path with Sys_error _ | End_of_file -> "" in
         match scan_string contents (fun payload ->
                   records := !records + 1;
@@ -188,9 +194,11 @@ let open_log ?(segment_bytes = 1 lsl 20) ?(fsync = true) ~dir f =
         (index, path, fd, bytes)
     | Some (index, true, _, _) ->
         let path, fd = fresh_segment dir (index + 1) in
+        firsts := (index + 1, !records) :: !firsts;
         (index + 1, path, fd, header_bytes)
     | None ->
         let path, fd = fresh_segment dir 0 in
+        firsts := [ (0, 0) ];
         (0, path, fd, header_bytes)
   in
   ( {
@@ -202,6 +210,7 @@ let open_log ?(segment_bytes = 1 lsl 20) ?(fsync = true) ~dir f =
       active_index;
       bytes;
       head = !records;
+      firsts = !firsts;
       closed = false;
     },
     {
@@ -245,6 +254,40 @@ let replay ~dir f =
     }
   end
 
+(* Stricter than [replay] about what a sequence number means: every
+   segment must start at the sequence number this writer gave its first
+   record. A segment gone from the middle (a scrub quarantine, a hand
+   deletion) or cut short (a scrub re-installing a valid prefix) would
+   make [replay] renumber every later record; here the read stops
+   there instead. The same map lets the read skip, unopened, every
+   segment that ends before [from]. Reads only an immutable snapshot of
+   the handle's state, never its descriptor. *)
+let read_range t ~from ~until f =
+  let firsts = Hashtbl.of_seq (List.to_seq t.firsts) in
+  let next = ref 0 in
+  (try
+     List.iter
+       (fun (index, _, path) ->
+         if !next >= until || Hashtbl.find_opt firsts index <> Some !next then
+           raise Exit;
+         match Hashtbl.find_opt firsts (index + 1) with
+         | Some after when after <= from -> next := after
+         | _ -> (
+             let contents =
+               try read_file path with Sys_error _ | End_of_file -> ""
+             in
+             match
+               scan_string contents (fun payload ->
+                   if !next >= until then raise Exit;
+                   if !next >= from then f !next payload;
+                   incr next)
+             with
+             | `Ok _ -> ()
+             | `Damaged _ -> raise Exit))
+       (list_segments t.dir)
+   with Exit -> ());
+  max from (min !next until)
+
 (* ---- append ----------------------------------------------------------- *)
 
 let write_all fd b =
@@ -269,7 +312,8 @@ let rotate t =
   t.fd <- fd;
   t.active <- path;
   t.active_index <- index;
-  t.bytes <- header_bytes
+  t.bytes <- header_bytes;
+  t.firsts <- (index, t.head) :: t.firsts
 
 let append t payload =
   if t.closed then invalid_arg "Wal.append: log is closed";

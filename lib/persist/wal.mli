@@ -75,6 +75,19 @@ val replay : dir:string -> (int -> string -> unit) -> recovery
     touching nothing on disk — the oracle's view of "the journaled
     WAL prefix". A missing directory is an empty log. *)
 
+val read_range :
+  t -> from:int -> until:int -> (int -> string -> unit) -> int
+(** [read_range t ~from ~until f] reads the log's records with
+    sequence numbers in [\[from, until)] back from disk as
+    [f seq payload], in order, along its valid prefix — which here also
+    ends wherever a segment does not start at the sequence number this
+    handle gave its first record (a segment deleted or cut short from
+    outside, say by a scrub), so a record is never surfaced under any
+    number but the one it was appended at. Returns the sequence number
+    after the last record surfaced ([from] when none was). Read-only
+    and safe beside the writer: a torn or not-yet-renamed tail just
+    ends the prefix early. *)
+
 val verify_file : string -> [ `Ok of int | `Damaged of int * int ]
 (** Scrub entry point: scan one segment file without surfacing
     payloads. [`Ok records] means every frame checks out;

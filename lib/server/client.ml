@@ -31,7 +31,16 @@ let error_to_string = function
   | Bad_response m -> "bad response: " ^ m
   | Corrupt m -> "corrupt response: " ^ m
 
-type t = { fd : Unix.file_descr; mutable alive : bool }
+(* [base] mirrors the server's per-connection patch base: the coloring
+   the last [Delta] reply on this connection left, which the next
+   [Patch] edits. Both sides set it on every answered delta and the
+   stream is strictly request/response, so they never disagree unless
+   a frame lies — and then the key or the digest check catches it. *)
+type t = {
+  fd : Unix.file_descr;
+  mutable alive : bool;
+  mutable base : Proto.base option;
+}
 
 (* A write into a peer-closed socket must come back as a typed error,
    not kill the process. *)
@@ -67,14 +76,14 @@ let connect ?timeout_s (addr : Server.addr) =
       match timeout_s with
       | None -> (
           match Unix.connect fd sockaddr with
-          | () -> Ok { fd; alive = true }
+          | () -> Ok { fd; alive = true; base = None }
           | exception Unix.Unix_error (e, _, _) ->
               fail (Connect (Unix.error_message e)))
       | Some budget_s -> (
           Unix.set_nonblock fd;
           let finish () =
             Unix.clear_nonblock fd;
-            Ok { fd; alive = true }
+            Ok { fd; alive = true; base = None }
           in
           let await () =
             (* connect in progress: writability signals the verdict,
@@ -100,6 +109,7 @@ let connect ?timeout_s (addr : Server.addr) =
 
 let close t =
   t.alive <- false;
+  t.base <- None;
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* "unix:PATH", "HOST:PORT", or a bare path (a unix socket) — the
@@ -123,11 +133,32 @@ let addr_of_string s =
         | Some _ -> Error ("port out of range in " ^ s)
         | None -> Error ("invalid port in " ^ s))
 
+(* A [Delta] reply resets the base; a [Patch] must edit the base we
+   hold and digest to what the server says. Any failure drops the base
+   with the connection, so one damaged patch cannot poison the next. *)
+let absorb t req resp =
+  match (req, resp) with
+  | Proto.Delta _, Proto.Solution s ->
+      t.base <- Some (Proto.base_of_solution s);
+      Ok resp
+  | Proto.Delta _, Proto.Patch p -> (
+      match t.base with
+      | None -> Error (Corrupt "patch reply without a base on this connection")
+      | Some b -> (
+          match Proto.apply_patch b p with
+          | Ok b ->
+              t.base <- Some b;
+              Ok (Proto.Solution (Proto.solution_of_patch b p))
+          | Error m -> Error (Corrupt m)))
+  | _, Proto.Patch _ -> Error (Bad_response "patch reply to a non-delta request")
+  | _ -> Ok resp
+
 let request ?timeout_s t req =
   if not t.alive then Error (Io "connection already failed")
   else begin
     let dead e =
       t.alive <- false;
+      t.base <- None;
       Error e
     in
     match Proto.write_frame ?io_timeout_s:timeout_s t.fd
@@ -154,7 +185,10 @@ let request ?timeout_s t req =
         | Ok body -> (
             match Proto.decode_response body with
             | Error m -> dead (Bad_response m)
-            | Ok resp -> Ok resp))
+            | Ok resp -> (
+                match absorb t req resp with
+                | Ok _ as ok -> ok
+                | Error e -> dead e)))
   end
 
 (* Half-duplex primitives for the replication stream: after a

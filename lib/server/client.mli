@@ -42,7 +42,14 @@ val request :
 (** Send one request, wait for its response. [timeout_s] bounds both
     the write and the wait for the response. After any [Error] the
     connection is dead (the stream may be desynchronized) and further
-    requests on it fail fast. *)
+    requests on it fail fast.
+
+    The connection keeps the coloring its last [Delta] reply left (its
+    patch base). A [Proto.Patch] answering a [Delta] is applied to that
+    base and returned as the [Proto.Solution] it stands for, with
+    starts the caller owns; a patch that does not edit the base or does
+    not match its digest is [Corrupt], and drops the base with the
+    connection. So callers never see a [Patch]. *)
 
 val send : ?timeout_s:float -> t -> Proto.request -> (unit, error) result
 (** Write one request frame without waiting for a response — the

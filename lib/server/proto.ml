@@ -8,10 +8,12 @@
 
 module S = Ivc_grid.Stencil
 module D = Ivc_incremental.Delta
+module Engine = Ivc_incremental.Engine
 module Codec = Ivc_persist.Codec
 module Obs = Ivc_obs
 
-let version = 4
+let version = 5
+let op_version = 4
 let magic = "IVCR"
 let default_max_frame = 16 * 1024 * 1024
 
@@ -56,6 +58,18 @@ type error_code =
 
 type degrade = Shrunk_budget | Heuristic_only
 
+type patch = {
+  base_fp : int64;
+  fingerprint : int64;
+  n : int;
+  cells : int array;
+  values : int array;
+  digest : int;
+  maxcolor : int;
+  provenance : string;
+  elapsed_s : float;
+}
+
 type solution = {
   starts : int array;
   maxcolor : int;
@@ -97,6 +111,7 @@ type response =
   | Op of { seq : int; head : int; payload : string }
   | Repl_heartbeat of { head : int }
   | Promoted of { applied_seq : int }
+  | Patch of patch
 
 let shed_code_to_string = function
   | Queue_full -> "queue-full"
@@ -347,6 +362,44 @@ let read_solution r =
     fingerprint;
   }
 
+let write_patch b (p : patch) =
+  Codec.W.i64 b p.base_fp;
+  Codec.W.i64 b p.fingerprint;
+  Codec.W.int b p.n;
+  Codec.W.int_array b p.cells;
+  Codec.W.int_array b p.values;
+  Codec.W.int b p.digest;
+  Codec.W.int b p.maxcolor;
+  Codec.W.string b p.provenance;
+  Codec.W.float b p.elapsed_s
+
+let read_patch r =
+  let base_fp = Codec.R.i64 r in
+  let fingerprint = Codec.R.i64 r in
+  let n = Codec.R.int r in
+  let cells = Codec.R.int_array r in
+  let values = Codec.R.int_array r in
+  if n < 0 || Array.length cells <> Array.length values then
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "patch of %d cells, %d values, length %d"
+            (Array.length cells) (Array.length values) n));
+  let digest = Codec.R.int r in
+  let maxcolor = Codec.R.int r in
+  let provenance = Codec.R.string r in
+  let elapsed_s = Codec.R.float r in
+  {
+    base_fp;
+    fingerprint;
+    n;
+    cells;
+    values;
+    digest;
+    maxcolor;
+    provenance;
+    elapsed_s;
+  }
+
 let role_tag = function Primary -> 0 | Standby -> 1
 
 let role_of_tag = function
@@ -432,7 +485,10 @@ let encode_response resp =
       Codec.W.int b head
   | Promoted { applied_seq } ->
       Codec.W.int b 9;
-      Codec.W.int b applied_seq);
+      Codec.W.int b applied_seq
+  | Patch p ->
+      Codec.W.int b 10;
+      write_patch b p);
   Codec.W.contents b
 
 let decode_response body =
@@ -470,6 +526,7 @@ let decode_response body =
             Op { seq; head; payload }
         | 8 -> Repl_heartbeat { head = Codec.R.int r }
         | 9 -> Promoted { applied_seq = Codec.R.int r }
+        | 10 -> Patch (read_patch r)
         | t ->
             raise (Codec.Corrupt (Printf.sprintf "unknown response tag %d" t))
       in
@@ -484,8 +541,9 @@ let decode_response body =
 
 (* The payload of one WAL record / replication [Op] frame: a completed
    operation the primary journaled. Versioned independently of the
-   request/response codec (the version int up front) because these
-   bytes live on disk and outlive any single connection. *)
+   request/response codec ([op_version] up front, not [version])
+   because these bytes live on disk and outlive any single connection:
+   a wire bump must not orphan an existing log. *)
 
 type op =
   | Op_solved of {
@@ -506,7 +564,7 @@ let describe_op = function
 
 let encode_op op =
   let b = Codec.W.create () in
-  Codec.W.int b version;
+  Codec.W.int b op_version;
   (match op with
   | Op_solved { fp; inst; starts; maxcolor; lower_bound; provenance;
                 proven_optimal } ->
@@ -528,8 +586,8 @@ let decode_op body =
   match
     let r = Codec.R.of_string body in
     let v = Codec.R.int r in
-    if v <> version then
-      Result.Error (Printf.sprintf "op version %d, want %d" v version)
+    if v <> op_version then
+      Result.Error (Printf.sprintf "op version %d, want %d" v op_version)
     else begin
       let op =
         match Codec.R.int r with
@@ -563,6 +621,98 @@ let decode_op body =
   with
   | result -> result
   | exception Codec.Corrupt m -> Result.Error m
+
+(* ---- delta replies and patches -------------------------------------- *)
+
+let delta_solution ~starts ~maxcolor ~provenance ~elapsed_s ~fingerprint =
+  {
+    starts;
+    maxcolor;
+    (* the repair engine certifies, it does not bound *)
+    lower_bound = 0;
+    provenance;
+    proven_optimal = false;
+    elapsed_s;
+    (* repaired incrementally, not served from the solution cache:
+       provenance carries the repair story *)
+    cache_hit = false;
+    resumed = false;
+    degraded = None;
+    fingerprint;
+  }
+
+type base = { key : int64; starts : int array; digest : int }
+
+(* A monomorphic copy: an [int array] store needs no write barrier, so
+   this beats [Array.copy] on the large arrays replies carry. *)
+let copy_starts a =
+  let n = Array.length a in
+  let c = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set c i (Array.unsafe_get a i)
+  done;
+  c
+
+let base_of_solution (s : solution) =
+  { key = s.fingerprint; starts = copy_starts s.starts;
+    digest = Engine.digest_of s.starts }
+
+(* Every check runs before the first write: growth covered by the
+   listed cells, cells strictly ascending (so distinct, so the digest
+   can be summed from the old starts up front) and in range, and the
+   digest equal to the patch's. *)
+let apply_patch b (p : patch) =
+  let len = Array.length b.starts and k = Array.length p.cells in
+  let fail fmt = Printf.ksprintf (fun m -> Result.Error m) fmt in
+  if not (Int64.equal p.base_fp b.key) then
+    fail "patch edits the coloring at %Lx, the base is at %Lx" p.base_fp b.key
+  else if p.n < len then
+    fail "patch shrinks the coloring from %d to %d cells" len p.n
+  else if Array.length p.values <> k then
+    fail "patch has %d cells but %d values" k (Array.length p.values)
+  else if p.n - len > k then
+    (* every grown cell leaves the -1 it starts at, so a patch lists
+       it; this also bounds the growth by the frame that carried it *)
+    fail "patch grows the coloring by %d cells but sets %d" (p.n - len) k
+  else begin
+    let bad = ref None and prev = ref (-1) in
+    Array.iter
+      (fun v ->
+        if !bad = None && (v <= !prev || v >= p.n) then bad := Some v;
+        prev := v)
+      p.cells;
+    match !bad with
+    | Some v ->
+        fail "patch cell %d out of order or outside [0, %d)" v p.n
+    | None ->
+        let d = ref b.digest in
+        for v = len to p.n - 1 do
+          d := !d + Engine.cell_digest v (-1)
+        done;
+        Array.iteri
+          (fun i v ->
+            let old = if v < len then b.starts.(v) else -1 in
+            d := !d - Engine.cell_digest v old + Engine.cell_digest v p.values.(i))
+          p.cells;
+        if !d <> p.digest then
+          fail "patched coloring digests to %x, the patch says %x" !d p.digest
+        else begin
+          let starts =
+            if p.n = len then b.starts
+            else begin
+              let a = Array.make p.n (-1) in
+              Array.blit b.starts 0 a 0 len;
+              a
+            end
+          in
+          Array.iteri (fun i v -> starts.(v) <- p.values.(i)) p.cells;
+          Result.Ok { key = p.fingerprint; starts; digest = !d }
+        end
+  end
+
+let solution_of_patch b (p : patch) =
+  delta_solution ~starts:(copy_starts b.starts) ~maxcolor:p.maxcolor
+    ~provenance:p.provenance ~elapsed_s:p.elapsed_s ~fingerprint:p.fingerprint
 
 (* ---- frame transport ------------------------------------------------ *)
 

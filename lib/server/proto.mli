@@ -42,7 +42,12 @@ val version : int
     added the replication stream ([Replicate] → [Op]/[Repl_heartbeat]
     frames), [Promote]/[Promoted], the [Not_primary] error code, the
     {!op} journal codec, and the health record's role / replication /
-    scrub fields. *)
+    scrub fields. Version 5 added the [Patch] reply to [Delta]. *)
+
+val op_version : int
+(** Version of the {!op} journal codec, embedded in every op payload
+    and independent of {!version}: WAL records outlive connections, so
+    a wire bump leaves it alone. Still 4. *)
 
 val magic : string
 (** 4-byte frame magic, ["IVCR"]. *)
@@ -123,6 +128,22 @@ type degrade =
   | Shrunk_budget  (** exact stage capped at the brownout budget *)
   | Heuristic_only  (** exact and iterated stages skipped entirely *)
 
+(** A [Delta] reply as the cells that changed: what a connection that
+    already holds the coloring at [base_fp] needs to rebuild the full
+    reply. See {!apply_patch}. *)
+type patch = {
+  base_fp : int64;  (** chain key of the coloring this patch edits *)
+  fingerprint : int64;  (** the advanced chain key, as in [solution] *)
+  n : int;  (** length of the resulting starts (grows on [Extend]) *)
+  cells : int array;  (** strictly ascending ids of the changed cells *)
+  values : int array;  (** their new starts, index for index *)
+  digest : int;
+      (** {!Ivc_incremental.Engine.digest_of} the resulting starts *)
+  maxcolor : int;
+  provenance : string;
+  elapsed_s : float;
+}
+
 type solution = {
   starts : int array;
   maxcolor : int;
@@ -178,6 +199,12 @@ type response =
       (** replication keep-alive while the log is quiet; carries the
           head so lag stays honest and renews the standby's lease *)
   | Promoted of { applied_seq : int }
+  | Patch of patch
+      (** a [Delta] reply sent instead of [Solution] once the
+          connection holds the coloring at [base_fp] (its previous
+          [Delta] reply) and the changed cells encode smaller than the
+          full starts array; {!Client.request} turns it back into the
+          [Solution] the server would otherwise have sent *)
 
 val shed_code_to_string : shed_code -> string
 val error_code_to_string : error_code -> string
@@ -224,8 +251,46 @@ val describe_op : op -> string
 val encode_op : op -> string
 
 val decode_op : string -> (op, string) result
-(** Fails closed like the other codecs: version mismatch, unknown
-    tags, truncation and trailing bytes are all [Error]. *)
+(** Fails closed like the other codecs: an {!op_version} mismatch,
+    unknown tags, truncation and trailing bytes are all [Error]. *)
+
+(** {1 Delta replies and patches} *)
+
+val delta_solution :
+  starts:int array ->
+  maxcolor:int ->
+  provenance:string ->
+  elapsed_s:float ->
+  fingerprint:int64 ->
+  solution
+(** The [Solution] answering a [Delta]: no lower bound, not proven
+    optimal, not a cache hit, not resumed, not degraded. The server
+    builds full replies with it and the client rebuilds patched ones,
+    so both carry the same fields. *)
+
+type base
+(** What a connection holds to apply the next patch against: a chain
+    key, a private starts array at that key, and its digest. *)
+
+val base_of_solution : solution -> base
+(** The base a full [Delta] reply leaves: a private copy of its starts
+    at its fingerprint. O(n). *)
+
+val apply_patch : base -> patch -> (base, string) result
+(** The pure core of patch application: no I/O and no connection
+    state. Rejects a patch whose [base_fp] is not the base's key, whose
+    [n] would shrink the coloring or grow it by more cells than the
+    patch lists (a grown cell always leaves its initial [-1]), whose
+    cells are out of [0, n) or not strictly ascending, or whose
+    resulting digest differs from [digest] — every check runs before
+    the first write, so on [Error]
+    the base is untouched. On [Ok] the base is consumed: its array is
+    updated in place unless the patch grew it. O(changed cells), plus
+    O(new cells) on growth. *)
+
+val solution_of_patch : base -> patch -> solution
+(** The full reply a successfully applied patch stands for, given the
+    base {!apply_patch} returned; its starts are a fresh copy. *)
 
 (** {1 Frame transport} *)
 

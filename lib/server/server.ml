@@ -41,11 +41,13 @@ let c_deltas = Obs.Counter.make "server.deltas"
 let c_delta_repaired = Obs.Counter.make "server.delta_repaired"
 let c_delta_resolved = Obs.Counter.make "server.delta_resolved"
 let c_delta_unknown = Obs.Counter.make "server.delta_unknown_fp"
+let c_delta_patched = Obs.Counter.make "server.delta_patched"
 let c_repair_seeded = Obs.Counter.make "server.repair_seeded"
 let c_repair_evicted = Obs.Counter.make "server.repair_evicted"
 let c_repair_compactions = Obs.Counter.make "server.repair_compactions"
 let c_wal_errors = Obs.Counter.make "server.wal_append_errors"
 let c_repl_shipped = Obs.Counter.make "server.repl_ops_shipped"
+let c_repl_wal_reads = Obs.Counter.make "server.repl_ops_read_back"
 let c_repl_applied = Obs.Counter.make "server.repl_ops_applied"
 let c_repl_rejected = Obs.Counter.make "server.repl_ops_rejected"
 let c_standby_refused = Obs.Counter.make "server.standby_refused"
@@ -231,8 +233,10 @@ module Repair = struct
 
   (* Apply one delta to the engine at [fp], re-keying the entry to the
      advanced chain fingerprint. The whole step runs under the table
-     lock so concurrent deltas against one engine serialize. *)
-  let apply t ~fp ?budget delta =
+     lock so concurrent deltas against one engine serialize, and so does
+     [capture]: whatever the reply needs of the repaired engine has to
+     be taken before the next apply moves it on. *)
+  let apply t ~fp ?budget ~capture delta =
     Mutex.lock t.mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.mutex)
@@ -247,7 +251,7 @@ module Repair = struct
                 Hashtbl.replace t.table fp' engine;
                 Queue.push fp' t.fifo;
                 compact_fifo t;
-                `Applied (outcome, fp', Engine.starts engine)
+                `Applied (outcome, fp', capture engine)
             | Error (Engine.Bad_delta _ as e) ->
                 (* engine untouched, entry stays *)
                 `Failed e
@@ -262,29 +266,84 @@ module Repair = struct
                 `Crashed (Printexc.to_string e)))
 end
 
-type conn = { fd : Unix.file_descr; mutable closed : bool }
+(* [base] is the chain key of the coloring this connection's last
+   [Delta] reply left with the client, the base the next patch edits
+   (the client keeps the same rule, see Client.absorb). *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable closed : bool;
+  mutable base : int64 option;
+}
 
 (* ---- replication feed -------------------------------------------------
 
-   The in-memory op feed: ops.(i) holds the encoded journal payload
-   for sequence i, exactly mirroring the WAL's record order (a rebooted
-   primary rebuilds the feed from the WAL, so a replica's [from_seq]
-   cursor stays valid across primary restarts). One mutex + condvar
-   covers the feed, the WAL append (serializing writers), the role, and
-   the standby's lease bookkeeping; replication streams park on the
-   condvar and a heartbeat ticker broadcasts it on a period, which is
-   what lets them send keep-alives without a timed wait. *)
+   The in-memory op feed: the journal's recent payloads by sequence
+   number, exactly mirroring the WAL's record order (a rebooted primary
+   rebuilds it from the WAL, so a replica's [from_seq] cursor stays
+   valid across primary restarts). With a WAL the feed is a tail of at
+   most [tail_bytes] of payload; a stream whose cursor falls behind it
+   reads the older ops back from the WAL. Without a WAL nothing could
+   read them back, so the feed keeps every op.
+
+   One mutex + condvar covers the feed, the WAL append (serializing
+   writers), and the standby's replication bookkeeping; replication
+   streams park on the condvar and a heartbeat ticker broadcasts it on
+   a period, which is what lets them send keep-alives without a timed
+   wait. The role and the lease clock are atomics outside that mutex,
+   so admission never waits out a journal fsync. *)
+
+let tail_bytes = 4 * 1024 * 1024
+
+module Feed = struct
+  type t = {
+    mutable ring : string array;
+        (* seq lives in slot [seq land (length - 1)]; length a power of 2 *)
+    mutable tail : int;  (* oldest retained seq *)
+    mutable head : int;  (* next seq *)
+    mutable bytes : int;  (* payload bytes in [tail, head) *)
+    mutable bounded : bool;
+        (* evict past [tail_bytes]: only while the WAL holds every
+           evicted seq at its own position *)
+  }
+
+  let create ~bounded =
+    { ring = Array.make 64 ""; tail = 0; head = 0; bytes = 0; bounded }
+
+  let slot f seq = seq land (Array.length f.ring - 1)
+
+  (* requires [tail <= seq < head] *)
+  let get f seq = f.ring.(slot f seq)
+
+  let push f payload =
+    let cap = Array.length f.ring in
+    if f.head - f.tail = cap then begin
+      let bigger = Array.make (2 * cap) "" in
+      for seq = f.tail to f.head - 1 do
+        bigger.(seq land ((2 * cap) - 1)) <- get f seq
+      done;
+      f.ring <- bigger
+    end;
+    f.ring.(slot f f.head) <- payload;
+    f.head <- f.head + 1;
+    f.bytes <- f.bytes + String.length payload;
+    if f.bounded then
+      while f.bytes > tail_bytes do
+        let i = slot f f.tail in
+        f.bytes <- f.bytes - String.length f.ring.(i);
+        f.ring.(i) <- "";
+        f.tail <- f.tail + 1
+      done
+end
 
 type repl = {
   rm : Mutex.t;
   rcond : Condition.t;
-  mutable role : Proto.role;
-  mutable ops : string array;
-  mutable head : int;
+  role : Proto.role Atomic.t;
+  feed : Feed.t;
   wal : Wal.t option;
   mutable applied : int;  (* standby: ops accepted from upstream *)
   mutable known_head : int;  (* standby: primary's head last seen *)
-  mutable last_contact_ns : int64;  (* standby: lease clock *)
+  last_contact_ns : int64 Atomic.t;  (* standby: lease clock *)
   mutable on_promote : (unit -> unit) option;
   mutable closing : bool;
 }
@@ -309,34 +368,29 @@ type t = {
   mutable quarantined_total : int;
 }
 
-(* feed push under [rm]; doubling growth, never shrinks (an op is a
-   few hundred bytes and the cache caps how many distinct instances
-   are live, so the feed is a memory footnote, not a leak) *)
-let feed_push r payload =
-  let cap = Array.length r.ops in
-  if r.head = cap then begin
-    let bigger = Array.make (max 64 (2 * cap)) "" in
-    Array.blit r.ops 0 bigger 0 r.head;
-    r.ops <- bigger
-  end;
-  r.ops.(r.head) <- payload;
-  r.head <- r.head + 1
-
-(* Journal one completed operation: WAL first (durability), then the
-   feed (shipping), then wake the streams. A WAL append failure is
-   counted and the op still feeds — the answer was already served, so
-   availability wins locally; the replica re-certifies everything it
-   replays anyway. *)
-let journal srv payload =
-  let r = srv.repl in
-  Mutex.lock r.rm;
+(* WAL first (durability), then the feed (shipping); under [rm]. A WAL
+   append failure is counted and the op still feeds — the answer was
+   already served, so availability wins locally; the replica
+   re-certifies everything it replays anyway. But from then on the WAL
+   may no longer hold each op at its own sequence number, so the feed
+   stops evicting: the ops it keeps are the only copy a stream can
+   trust. *)
+let feed_append r payload =
   (match r.wal with
   | Some w -> (
       try ignore (Wal.append w payload)
-      with _ -> Obs.Counter.incr c_wal_errors)
+      with _ ->
+        Obs.Counter.incr c_wal_errors;
+        r.feed.Feed.bounded <- false)
   | None -> ());
-  feed_push r payload;
-  if r.role = Proto.Standby then r.applied <- r.head;
+  Feed.push r.feed payload
+
+(* Journal one completed operation, then wake the streams. *)
+let journal srv payload =
+  let r = srv.repl in
+  Mutex.lock r.rm;
+  feed_append r payload;
+  if Atomic.get r.role = Proto.Standby then r.applied <- r.feed.Feed.head;
   Condition.broadcast r.rcond;
   Mutex.unlock r.rm
 
@@ -582,15 +636,32 @@ let handle_solve srv inst (opts : Proto.solve_options) =
 
 (* Answered inline on the connection thread: a repair is microseconds
    of work, so routing it through the solve queue would bury the very
-   latency the incremental engine exists to deliver. The reply reuses
-   [Solution]; its fingerprint is the {e advanced} chain key the
-   client must use for the next delta, its provenance records whether
-   the engine repaired locally or fell back to a full sweep. *)
-let handle_delta srv ~fp ?budget delta =
+   latency the incremental engine exists to deliver. The reply's
+   fingerprint is the {e advanced} chain key the client must use for
+   the next delta, its provenance records whether the engine repaired
+   locally or fell back to a full sweep.
+
+   Once the connection holds the coloring at [fp] — its previous delta
+   reply left it there — the reply is a [Patch] of the engine's
+   changed cells, built under the table lock in O(changed) instead of
+   copying all n starts. A full [Solution] goes out for the first delta
+   on a connection and whenever the patch (two ints a cell) would not
+   be smaller than the full array (one int a cell). *)
+let handle_delta srv conn ~fp ?budget delta =
   Obs.Counter.incr c_requests;
   Obs.Counter.incr c_deltas;
   let t0 = Obs.now_ns () in
-  match Repair.apply srv.repair ~fp ?budget delta with
+  let patchable = conn.base = Some fp in
+  let capture engine =
+    let module Engine = Ivc_incremental.Engine in
+    let n = Engine.n_vertices engine in
+    match if patchable then Some (Engine.changed engine) else None with
+    | Some cells when 2 * Array.length cells < n ->
+        let starts = Engine.starts_view engine in
+        `Patch (n, cells, Array.map (fun v -> starts.(v)) cells, Engine.digest engine)
+    | _ -> `Full (Engine.starts engine)
+  in
+  match Repair.apply srv.repair ~fp ?budget ~capture delta with
   | `Unknown ->
       Obs.Counter.incr c_delta_unknown;
       Proto.Error
@@ -610,7 +681,7 @@ let handle_delta srv ~fp ?budget delta =
   | `Crashed message ->
       Obs.Counter.incr c_internal;
       Proto.Error { code = Proto.Internal; message }
-  | `Applied (outcome, fp', starts) ->
+  | `Applied (outcome, fp', captured) -> (
       (match outcome.Ivc_incremental.Engine.provenance with
       | Ivc_incremental.Engine.Repaired _ -> Obs.Counter.incr c_delta_repaired
       | Ivc_incremental.Engine.Resolved -> Obs.Counter.incr c_delta_resolved);
@@ -618,24 +689,31 @@ let handle_delta srv ~fp ?budget delta =
          same chain applies the same delta through its own engine and
          derives fp' itself *)
       journal srv (Proto.encode_op (Proto.Op_delta { fp; delta }));
-      Proto.Solution
-        {
-          Proto.starts;
-          maxcolor = outcome.Ivc_incremental.Engine.maxcolor;
-          (* the repair engine certifies, it does not bound *)
-          lower_bound = 0;
-          provenance =
-            Ivc_incremental.Engine.provenance_to_string
-              outcome.Ivc_incremental.Engine.provenance;
-          proven_optimal = false;
-          elapsed_s = Obs.elapsed_s ~since:t0;
-          (* repaired incrementally, not served from the solution
-             cache: provenance carries the repair story *)
-          cache_hit = false;
-          resumed = false;
-          degraded = None;
-          fingerprint = fp';
-        }
+      conn.base <- Some fp';
+      let maxcolor = outcome.Ivc_incremental.Engine.maxcolor
+      and provenance =
+        Ivc_incremental.Engine.provenance_to_string
+          outcome.Ivc_incremental.Engine.provenance
+      and elapsed_s = Obs.elapsed_s ~since:t0 in
+      match captured with
+      | `Patch (n, cells, values, digest) ->
+          Obs.Counter.incr c_delta_patched;
+          Proto.Patch
+            {
+              Proto.base_fp = fp;
+              fingerprint = fp';
+              n;
+              cells;
+              values;
+              digest;
+              maxcolor;
+              provenance;
+              elapsed_s;
+            }
+      | `Full starts ->
+          Proto.Solution
+            (Proto.delta_solution ~starts ~maxcolor ~provenance ~elapsed_s
+               ~fingerprint:fp'))
 
 (* ---- replication ------------------------------------------------------ *)
 
@@ -645,37 +723,48 @@ let handle_delta srv ~fp ?budget delta =
    goes through the repair engine's own certificate gate, and anything
    that does not check out is rejected — counted, skipped, serving
    intact. *)
-let apply_op srv op =
+let apply_op ~cache ~repair op =
   match op with
   | Proto.Op_solved
       { fp; inst; starts; maxcolor; lower_bound; provenance; proven_optimal }
     -> (
       match Cert.check inst starts with
       | Ok mc when mc = maxcolor ->
-          Cache.store srv.cache ~fp ~inst
+          Cache.store cache ~fp ~inst
             { Cache.starts; maxcolor; lower_bound; provenance; proven_optimal };
-          Repair.seed srv.repair ~fp inst;
+          Repair.seed repair ~fp inst;
           true
       | Ok _ | Error _ -> false
       | exception _ -> false)
   | Proto.Op_delta { fp; delta } -> (
-      match Repair.apply srv.repair ~fp delta with
+      match Repair.apply repair ~fp ~capture:ignore delta with
       | `Applied _ -> true
       | `Unknown | `Failed _ | `Crashed _ -> false)
 
-let role srv =
-  let r = srv.repl in
-  Mutex.lock r.rm;
-  let role = r.role in
-  Mutex.unlock r.rm;
-  role
+(* Decode and apply one journaled op, counting the verdict: the shared
+   step of boot replay and the standby's stream. *)
+let replay_op ~cache ~repair payload =
+  match Proto.decode_op payload with
+  | Ok op ->
+      if apply_op ~cache ~repair op then Obs.Counter.incr c_repl_applied
+      else Obs.Counter.incr c_repl_rejected
+  | Error _ -> Obs.Counter.incr c_repl_rejected
+
+let role srv = Atomic.get srv.repl.role
 
 let repl_head srv =
   let r = srv.repl in
   Mutex.lock r.rm;
-  let h = r.head in
+  let h = r.feed.Feed.head in
   Mutex.unlock r.rm;
   h
+
+let repl_tail srv =
+  let r = srv.repl in
+  Mutex.lock r.rm;
+  let t = r.feed.Feed.tail in
+  Mutex.unlock r.rm;
+  t
 
 let repl_applied srv =
   let r = srv.repl in
@@ -688,7 +777,7 @@ let note_primary_contact srv ~head =
   let r = srv.repl in
   Mutex.lock r.rm;
   r.known_head <- max r.known_head head;
-  r.last_contact_ns <- Obs.now_ns ();
+  Atomic.set r.last_contact_ns (Obs.now_ns ());
   Obs.Gauge.set g_repl_lag (Float.of_int (max 0 (r.known_head - r.applied)));
   Mutex.unlock r.rm
 
@@ -705,20 +794,11 @@ let apply_replicated srv ~seq payload =
       (Printf.sprintf "replication cursor %d, expected %d" seq
          (repl_applied srv))
   else begin
-    (match Proto.decode_op payload with
-    | Ok op ->
-        if apply_op srv op then Obs.Counter.incr c_repl_applied
-        else Obs.Counter.incr c_repl_rejected
-    | Error _ -> Obs.Counter.incr c_repl_rejected);
+    replay_op ~cache:srv.cache ~repair:srv.repair payload;
     Mutex.lock r.rm;
-    (match r.wal with
-    | Some w -> (
-        try ignore (Wal.append w payload)
-        with _ -> Obs.Counter.incr c_wal_errors)
-    | None -> ());
-    feed_push r payload;
-    r.applied <- r.head;
-    r.last_contact_ns <- Obs.now_ns ();
+    feed_append r payload;
+    r.applied <- r.feed.Feed.head;
+    Atomic.set r.last_contact_ns (Obs.now_ns ());
     Obs.Gauge.set g_repl_lag (Float.of_int (max 0 (r.known_head - r.applied)));
     Condition.broadcast r.rcond;
     Mutex.unlock r.rm;
@@ -737,10 +817,10 @@ let set_on_promote srv f =
 let promote srv =
   let r = srv.repl in
   Mutex.lock r.rm;
-  let hook = if r.role = Proto.Standby then r.on_promote else None in
-  let was = r.role in
-  r.role <- Proto.Primary;
-  let applied = r.head in
+  let was = Atomic.get r.role in
+  let hook = if was = Proto.Standby then r.on_promote else None in
+  Atomic.set r.role Proto.Primary;
+  let applied = r.feed.Feed.head in
   Condition.broadcast r.rcond;
   Mutex.unlock r.rm;
   if was = Proto.Standby then Obs.Counter.incr c_promotions;
@@ -751,16 +831,14 @@ let promote srv =
    once its primary lease has lapsed (no op or heartbeat for
    [lease_s]) — while the primary is demonstrably alive, answering
    from replayed state would risk serving a stale chain alongside a
-   live one. [Promote] flips the role and ends the question. *)
+   live one. [Promote] flips the role and ends the question. Lock-free:
+   the role only ever flips to primary and the lease clock only moves
+   forward, so a [true] here was true at the moment the clock was
+   read, and admission never queues behind a journal fsync. *)
 let serving srv =
   let r = srv.repl in
-  Mutex.lock r.rm;
-  let ok =
-    r.role = Proto.Primary
-    || Obs.elapsed_s ~since:r.last_contact_ns >= srv.cfg.lease_s
-  in
-  Mutex.unlock r.rm;
-  ok
+  Atomic.get r.role = Proto.Primary
+  || Obs.elapsed_s ~since:(Atomic.get r.last_contact_ns) >= srv.cfg.lease_s
 
 let standby_refusal srv =
   Obs.Counter.incr c_standby_refused;
@@ -792,9 +870,11 @@ let health srv =
   let brownout = brownout_of srv.cfg ~occupancy:(occupancy srv) in
   let r = srv.repl in
   Mutex.lock r.rm;
-  let role = r.role in
+  let role = Atomic.get r.role in
   let applied_seq =
-    match role with Proto.Primary -> r.head | Proto.Standby -> r.applied
+    match role with
+    | Proto.Primary -> r.feed.Feed.head
+    | Proto.Standby -> r.applied
   in
   let replication_lag =
     match role with
@@ -864,6 +944,7 @@ let stats_json srv =
                      ("role", Json.Str (Proto.role_to_string h.Proto.role));
                      ("applied_seq", int h.Proto.applied_seq);
                      ("lag", int h.Proto.replication_lag);
+                     ("feed_tail", int (repl_tail srv));
                    ] );
                ( "scrub",
                  let h = health srv in
@@ -895,8 +976,13 @@ let request_shutdown srv =
 (* Ship the journal from [from_seq] on, then follow the head. Parks on
    the feed condvar; the heartbeat ticker broadcasts it on a period, so
    every wakeup with no new op sends a [Repl_heartbeat] — the standby's
-   lease renewal and lag gauge. Runs on the connection's own thread
-   until the peer drops, a write times out, or the server stops. *)
+   lease renewal and lag gauge. A cursor behind the feed's tail is
+   served by reading the ops back from the WAL, only below the tail
+   (the WAL is trusted exactly for what the feed evicted) and only
+   along its gap-free prefix: when that prefix ends short of the tail
+   the stream ends with the typed out-of-log error, never with a hole.
+   Runs on the connection's own thread until the peer drops, a write
+   times out, or the server stops. *)
 let stream_ops srv fd ~from_seq =
   let r = srv.repl in
   let send_resp resp =
@@ -905,32 +991,53 @@ let stream_ops srv fd ~from_seq =
       fd
       (Proto.encode_response resp)
   in
-  let rec go seq =
-    Mutex.lock r.rm;
-    if seq >= r.head && not r.closing then Condition.wait r.rcond r.rm;
-    let head = r.head in
-    let payload = if seq < head then Some r.ops.(seq) else None in
-    let closing = r.closing in
-    Mutex.unlock r.rm;
-    if not closing then
-      match payload with
-      | Some payload ->
-          send_resp (Proto.Op { seq; head; payload });
-          Obs.Counter.incr c_repl_shipped;
-          go (seq + 1)
-      | None ->
-          send_resp (Proto.Repl_heartbeat { head });
-          go seq
+  let ship seq head payload =
+    send_resp (Proto.Op { seq; head; payload });
+    Obs.Counter.incr c_repl_shipped
   in
-  if from_seq < 0 || from_seq > repl_head srv then
+  let outside seq =
     send_resp
       (Proto.Error
          {
            code = Proto.Bad_request;
            message =
              Printf.sprintf "replication cursor %d outside the log (head %d)"
-               from_seq (repl_head srv);
+               seq (repl_head srv);
          })
+  in
+  let read_back seq ~tail ~head =
+    match r.wal with
+    | None -> seq
+    | Some w ->
+        Wal.read_range w ~from:seq ~until:tail (fun i payload ->
+            Obs.Counter.incr c_repl_wal_reads;
+            ship i head payload)
+  in
+  let rec go seq =
+    Mutex.lock r.rm;
+    let f = r.feed in
+    if seq >= f.Feed.head && not r.closing then Condition.wait r.rcond r.rm;
+    let head = f.Feed.head and tail = f.Feed.tail in
+    let payload =
+      if seq >= tail && seq < head then Some (Feed.get f seq) else None
+    in
+    let closing = r.closing in
+    Mutex.unlock r.rm;
+    if not closing then
+      if seq < tail then begin
+        let next = read_back seq ~tail ~head in
+        if next > seq then go next else outside seq
+      end
+      else
+        match payload with
+        | Some payload ->
+            ship seq head payload;
+            go (seq + 1)
+        | None ->
+            send_resp (Proto.Repl_heartbeat { head });
+            go seq
+  in
+  if from_seq < 0 || from_seq > repl_head srv then outside from_seq
   else go from_seq
 
 let conn_loop srv conn =
@@ -1028,7 +1135,7 @@ let conn_loop srv conn =
                   ~args:
                     [ ("delta", Ivc_incremental.Delta.describe delta) ]
                   "server.delta"
-                  (fun () -> handle_delta srv ~fp ?budget delta)
+                  (fun () -> handle_delta srv conn ~fp ?budget delta)
               in
               send srv fd resp;
               loop ()
@@ -1057,7 +1164,7 @@ let accept_loop srv =
         let stopping = srv.stopping in
         if not stopping then begin
           Obs.Counter.incr c_conns;
-          let conn = { fd; closed = false } in
+          let conn = { fd; closed = false; base = None } in
           let thread = Thread.create (fun () -> conn_loop srv conn) () in
           (* prune finished connections so a long-lived server's record
              list stays proportional to the open connections *)
@@ -1162,19 +1269,23 @@ let start cfg =
   Option.iter
     (fun dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755)
     cfg.autosave_dir;
-  (* Open (and fail-closed recover) the WAL before binding: the boot
-     replay below must finish before the first request can race it. *)
-  let wal, boot_ops =
-    match cfg.wal_dir with
-    | None -> (None, [])
-    | Some dir ->
-        let acc = ref [] in
-        let w, _recovery =
-          Wal.open_log ~segment_bytes:cfg.wal_segment_bytes
-            ~fsync:cfg.wal_fsync ~dir
-            (fun _seq payload -> acc := payload :: !acc)
-        in
-        (Some w, List.rev !acc)
+  (* Open (and fail-closed recover) the WAL before binding, replaying
+     it as it is read: each op rebuilds cache/repair state, re-certified
+     (fail closed: a bad op is skipped, not served), and lands in the
+     feed, which mirrors the WAL record-for-record so replica cursors
+     survive a primary restart. Nothing holds the whole log. *)
+  let cache = Cache.create ~capacity:cfg.cache_capacity in
+  let repair = Repair.create ~capacity:cfg.repair_capacity in
+  let feed = Feed.create ~bounded:(cfg.wal_dir <> None) in
+  let wal =
+    Option.map
+      (fun dir ->
+        fst
+          (Wal.open_log ~segment_bytes:cfg.wal_segment_bytes
+             ~fsync:cfg.wal_fsync ~dir (fun _seq payload ->
+               replay_op ~cache ~repair payload;
+               Feed.push feed payload)))
+      cfg.wal_dir
   in
   let listen_fd, bound_port = bind_listen cfg.addr in
   let srv =
@@ -1185,19 +1296,19 @@ let start cfg =
       pool =
         Taskpar.Service.create ~workers:cfg.workers
           ~capacity:cfg.queue_capacity;
-      cache = Cache.create ~capacity:cfg.cache_capacity;
-      repair = Repair.create ~capacity:cfg.repair_capacity;
+      cache;
+      repair;
       repl =
         {
           rm = Mutex.create ();
           rcond = Condition.create ();
-          role = (if cfg.standby then Proto.Standby else Proto.Primary);
-          ops = [||];
-          head = 0;
+          role =
+            Atomic.make (if cfg.standby then Proto.Standby else Proto.Primary);
+          feed;
           wal;
-          applied = 0;
+          applied = feed.Feed.head;
           known_head = 0;
-          last_contact_ns = Obs.now_ns ();
+          last_contact_ns = Atomic.make (Obs.now_ns ());
           on_promote = None;
           closing = false;
         };
@@ -1213,20 +1324,6 @@ let start cfg =
       quarantined_total = 0;
     }
   in
-  (* Boot replay: rebuild cache/repair state from the journaled
-     prefix, re-certifying every op (fail closed: a bad op is skipped,
-     not served). The feed mirrors the WAL record-for-record so
-     replica cursors survive a primary restart. *)
-  List.iter
-    (fun payload ->
-      (match Proto.decode_op payload with
-      | Ok op ->
-          if apply_op srv op then Obs.Counter.incr c_repl_applied
-          else Obs.Counter.incr c_repl_rejected
-      | Error _ -> Obs.Counter.incr c_repl_rejected);
-      feed_push srv.repl payload)
-    boot_ops;
-  srv.repl.applied <- srv.repl.head;
   srv.acceptor <- Some (Thread.create (fun () -> accept_loop srv) ());
   srv.aux_threads <- [ Thread.create (fun () -> ticker_loop srv) () ];
   if cfg.scrub_every_s > 0.0 then

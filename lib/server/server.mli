@@ -144,6 +144,15 @@ val promote : t -> int
 val repl_head : t -> int
 (** Ops in the feed/journal; the next sequence number. *)
 
+val repl_tail : t -> int
+(** The oldest sequence number the in-memory feed still holds. With a
+    WAL the feed keeps at most {!tail_bytes} of op payload and a
+    replication stream reads older ops back from the WAL; without one
+    it keeps every op and this stays 0. *)
+
+val tail_bytes : int
+(** The feed's payload bound when a WAL is configured: 4 MiB. *)
+
 val repl_applied : t -> int
 (** Standby: ops accepted from upstream (= its replication cursor).
     Primary: equals {!repl_head}. *)

@@ -79,6 +79,63 @@ let test_codec_rejects_trailing_bytes () =
   | () -> Alcotest.fail "trailing garbage accepted"
   | exception Codec.Corrupt _ -> ()
 
+(* The sized int-array pass must produce exactly the bytes of the
+   element-at-a-time encoding (length word, then one 8-byte little-endian
+   word per element), at offsets other than 0 and across buffer growth,
+   and a length word that promises more elements than the bytes left
+   must still be rejected before anything is allocated. *)
+let test_codec_int_array_bytes () =
+  let reference prefix a =
+    let b = Buffer.create 64 in
+    Buffer.add_string b prefix;
+    Buffer.add_int64_le b (Int64.of_int (Array.length a));
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) a;
+    Buffer.contents b
+  in
+  let rng = Spatial_data.Rng.create 77 in
+  List.iter
+    (fun n ->
+      let a =
+        Array.init n (fun k ->
+            match k mod 4 with
+            | 0 -> max_int - k
+            | 1 -> min_int + k
+            | 2 -> -k
+            | _ -> Spatial_data.Rng.int rng 1_000_000)
+      in
+      let w = Codec.W.create () in
+      Codec.W.string w "hdr";
+      Codec.W.int_array w a;
+      let got = Codec.W.contents w in
+      let w0 = Codec.W.create () in
+      Codec.W.string w0 "hdr";
+      let prefix = Codec.W.contents w0 in
+      Alcotest.(check string)
+        (Printf.sprintf "%d ints encode like the per-element writer" n)
+        (reference prefix a) got;
+      let r = Codec.R.of_string got in
+      ignore (Codec.R.string r);
+      Alcotest.(check (array int)) "decodes back" a (Codec.R.int_array r);
+      Codec.R.expect_end r)
+    [ 0; 1; 7; 31; 32; 33; 1000; 65_536 ];
+  let lying n =
+    let w = Codec.W.create () in
+    Codec.W.int w n;
+    Codec.W.int w 1;
+    Codec.W.int w 2;
+    match Codec.R.int_array (Codec.R.of_string (Codec.W.contents w)) with
+    | _ -> Alcotest.failf "a length of %d over 2 elements was accepted" n
+    | exception Codec.Corrupt _ -> ()
+  in
+  List.iter lying [ 3; 1 lsl 40; -1; max_int ];
+  (* an element outside the native int range is corruption, not a wrap *)
+  let b = Buffer.create 16 in
+  Buffer.add_int64_le b 1L;
+  Buffer.add_int64_le b Int64.max_int;
+  match Codec.R.int_array (Codec.R.of_string (Buffer.contents b)) with
+  | _ -> Alcotest.fail "an out-of-range element was accepted"
+  | exception Codec.Corrupt _ -> ()
+
 (* ---- snapshot framing ------------------------------------------------ *)
 
 let sample_snapshot () =
@@ -718,6 +775,8 @@ let suite =
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec trailing bytes" `Quick
       test_codec_rejects_trailing_bytes;
+    Alcotest.test_case "codec int arrays: sized pass, same bytes" `Quick
+      test_codec_int_array_bytes;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "truncation at every byte" `Quick
       test_truncation_every_byte;

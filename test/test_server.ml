@@ -21,6 +21,13 @@ module Cert = Ivc_resilient.Cert
 module D = Ivc_incremental.Delta
 module Snapshot = Ivc_persist.Snapshot
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+  in
+  at 0
+
 let same_inst a b =
   (a : S.t).dims = (b : S.t).dims && (a : S.t).w = (b : S.t).w
 
@@ -167,7 +174,163 @@ let test_response_roundtrips () =
   roundtrip_request Proto.Promote;
   roundtrip_response (Proto.Op { seq = 3; head = 9; payload = "op-bytes" });
   roundtrip_response (Proto.Repl_heartbeat { head = 12 });
-  roundtrip_response (Proto.Promoted { applied_seq = 12 })
+  roundtrip_response (Proto.Promoted { applied_seq = 12 });
+  (* v5 patch replies, empty and not *)
+  List.iter
+    (fun (cells, values) ->
+      roundtrip_response
+        (Proto.Patch
+           {
+             Proto.base_fp = 0x1234L;
+             fingerprint = Int64.min_int;
+             n = 40;
+             cells;
+             values;
+             digest = -77;
+             maxcolor = 9;
+             provenance = "repaired(front=3,waves=2)";
+             elapsed_s = 0.0005;
+           }))
+    [ ([||], [||]); ([| 0; 5; 39 |], [| 3; -1; 12 |]) ]
+
+(* ---- patch application ------------------------------------------------ *)
+
+let delta_reply ~fp starts =
+  Proto.delta_solution ~starts ~maxcolor:0 ~provenance:"resolved"
+    ~elapsed_s:0.0 ~fingerprint:fp
+
+let patch_of ~base_fp ~fp ~before after =
+  let n = Array.length after in
+  let old v = if v < Array.length before then before.(v) else -1 in
+  let cells =
+    Array.of_list (List.filter (fun v -> old v <> after.(v)) (List.init n Fun.id))
+  in
+  {
+    Proto.base_fp;
+    fingerprint = fp;
+    n;
+    cells;
+    values = Array.map (fun v -> after.(v)) cells;
+    digest = Ivc_incremental.Engine.digest_of after;
+    maxcolor = 0;
+    provenance = "repaired(front=1,waves=1)";
+    elapsed_s = 0.0;
+  }
+
+(* Every rejection leaves the base as it was — a later valid patch
+   still applies — and an accepted patch rebuilds exactly the target,
+   including a grown one. *)
+let test_apply_patch () =
+  let before = [| 0; 3; 7; 12; 2 |] and after = [| 0; 4; 7; 12; 1 |] in
+  let base () = Proto.base_of_solution (delta_reply ~fp:10L before) in
+  let good = patch_of ~base_fp:10L ~fp:11L ~before after in
+  let rejects name b p =
+    match Proto.apply_patch b p with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error _ -> ()
+  in
+  let b = base () in
+  rejects "base-key mismatch" b { good with Proto.base_fp = 9L };
+  rejects "cell out of range" b
+    { good with Proto.cells = [| 1; 5 |]; values = [| 4; 1 |] };
+  rejects "negative cell" b
+    { good with Proto.cells = [| -1; 4 |]; values = [| 4; 1 |] };
+  rejects "cells out of order" b
+    { good with Proto.cells = [| 4; 1 |]; values = [| 1; 4 |] };
+  rejects "repeated cell" b
+    { good with Proto.cells = [| 1; 1 |]; values = [| 4; 4 |] };
+  rejects "shrinking length" b { good with Proto.n = 4 };
+  rejects "growth the cells do not cover" b { good with Proto.n = max_int };
+  rejects "digest mismatch" b { good with Proto.digest = good.Proto.digest + 1 };
+  rejects "value swapped under the digest" b
+    { good with Proto.values = [| 1; 4 |] };
+  rejects "cells and values disagree" b { good with Proto.values = [| 4 |] };
+  (match Proto.apply_patch b good with
+  | Error m -> Alcotest.failf "the base was damaged by a rejection: %s" m
+  | Ok b' -> (
+      let s = Proto.solution_of_patch b' good in
+      Alcotest.(check (array int)) "rebuilt starts" after s.Proto.starts;
+      Alcotest.(check int64) "advanced key" 11L s.Proto.fingerprint;
+      (* the rebuilt reply owns its starts: the next patch edits the
+         base, never an array the caller holds *)
+      let grown = [| 0; 4; 7; 12; 1; 5; 6 |] in
+      match Proto.apply_patch b' (patch_of ~base_fp:11L ~fp:12L ~before:after grown) with
+      | Error m -> Alcotest.failf "growing patch rejected: %s" m
+      | Ok b'' ->
+          Alcotest.(check (array int)) "caller's starts untouched" after
+            s.Proto.starts;
+          Alcotest.(check (array int)) "grown starts" grown
+            (Proto.solution_of_patch b''
+               (patch_of ~base_fp:11L ~fp:12L ~before:after grown))
+              .Proto.starts));
+  (* a grown cell the patch forgets stays at -1, which the digest of
+     the real target catches *)
+  let grown = [| 0; 3; 7; 12; 2; 5 |] in
+  rejects "grown cell left out" (base ())
+    {
+      (patch_of ~base_fp:10L ~fp:11L ~before grown) with
+      Proto.cells = [||];
+      values = [||];
+    }
+
+(* WAL records outlive the wire protocol: bytes written by a v4 daemon
+   (op version 4, frozen here field by field) must still decode after
+   the v5 wire bump, and today's encoder must still write them. *)
+let test_op_codec_v4 () =
+  Alcotest.(check int) "wire protocol" 5 Proto.version;
+  Alcotest.(check int) "op codec" 4 Proto.op_version;
+  let inst = small_inst in
+  let starts = Ivc_incremental.Engine.resolve inst in
+  let v4_solved =
+    let b = Codec.W.create () in
+    Codec.W.int b 4;
+    Codec.W.int b 0;
+    Codec.W.i64 b 0xfeedL;
+    Codec.W.int b 2;
+    Codec.W.int b 8;
+    Codec.W.int b 8;
+    Codec.W.int_array b inst.S.w;
+    Codec.W.int_array b starts;
+    Codec.W.int b 13;
+    Codec.W.int b 11;
+    Codec.W.string b "heuristic:BDP";
+    Codec.W.bool b true;
+    Codec.W.contents b
+  in
+  let v4_delta =
+    let b = Codec.W.create () in
+    Codec.W.int b 4;
+    Codec.W.int b 1;
+    Codec.W.i64 b 0xbeefL;
+    Codec.W.int b 1;
+    Codec.W.int b 2;
+    List.iter (Codec.W.int b) [ 3; 1; 5; -1 ];
+    Codec.W.contents b
+  in
+  (match Proto.decode_op v4_solved with
+  | Ok
+      (Proto.Op_solved
+        { fp; inst = got; starts = s; maxcolor; lower_bound; provenance;
+          proven_optimal }) ->
+      Alcotest.(check int64) "fp" 0xfeedL fp;
+      Alcotest.(check bool) "instance" true (same_inst inst got);
+      Alcotest.(check (array int)) "starts" starts s;
+      Alcotest.(check (list int)) "bounds" [ 13; 11 ] [ maxcolor; lower_bound ];
+      Alcotest.(check string) "provenance" "heuristic:BDP" provenance;
+      Alcotest.(check bool) "optimal" true proven_optimal
+  | Ok _ -> Alcotest.fail "v4 solved op decoded as another op"
+  | Error m -> Alcotest.failf "v4 solved op rejected: %s" m);
+  (match Proto.decode_op v4_delta with
+  | Ok (Proto.Op_delta { fp; delta = D.Batch [| (3, 1); (5, -1) |] }) ->
+      Alcotest.(check int64) "fp" 0xbeefL fp
+  | Ok _ -> Alcotest.fail "v4 delta op decoded wrong"
+  | Error m -> Alcotest.failf "v4 delta op rejected: %s" m);
+  Alcotest.(check string) "encoder still writes v4 delta ops" v4_delta
+    (Proto.encode_op
+       (Proto.Op_delta { fp = 0xbeefL; delta = D.Batch [| (3, 1); (5, -1) |] }));
+  match Proto.decode_op ("\005" ^ String.sub v4_delta 1 (String.length v4_delta - 1)) with
+  | Ok _ -> Alcotest.fail "an op at the wire version must not decode"
+  | Error _ -> ()
 
 let qtest_solve_roundtrip =
   Util.qtest ~count:60 "solve request round-trips" Util.gen_inst2
@@ -429,6 +592,67 @@ let test_e2e_delta_repair () =
   | Ok _ -> Alcotest.fail "a spent chain key must answer unknown"
   | Error e -> Alcotest.failf "request failed: %s" (Client.error_to_string e)
 
+let patched_replies () =
+  Ivc_obs.Counter.value (Ivc_obs.Counter.make "server.delta_patched")
+
+(* One connection, every delta shape: the first reply is a full
+   Solution, later ones travel as patches whenever the changed cells
+   encode smaller. Either way the client hands back the canonical
+   coloring of its own mirror, and the server's patched counter agrees
+   with a local engine's changed-cell counts. *)
+let test_e2e_delta_patch_chain () =
+  with_server @@ fun addr ->
+  ignore (solve_ok addr ~opts:fast_opts small_inst);
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let local = Ivc_incremental.Engine.create small_inst in
+  let steps =
+    List.init 6 (fun i -> (None, D.Bump { v = (7 * i) mod 64; dw = 1 + (i mod 3) }))
+    @ [
+        (None, D.Batch [| (5, 3); (9, 1); (5, -2); (40, 2) |]);
+        (Some 0, D.Bump { v = 12; dw = 1 });
+        (None, D.Extend { slabs = 1; w = Array.init 8 (fun k -> 1 + (k mod 3)) });
+        (None, D.Bump { v = 70; dw = 2 });
+        (Some 0, D.Batch [| (0, 5); (63, 1) |]);
+        (None, D.Batch [||]);
+      ]
+  in
+  let before = patched_replies () in
+  let expected = ref 0 in
+  let _ =
+    List.fold_left
+      (fun (i, inst, fp) (budget, d) ->
+        let s = delta_ok c ?budget ~fp d in
+        let inst' = apply_mirror inst d in
+        let fp' = D.chain_fp fp d in
+        (match Ivc_incremental.Engine.apply ?budget local d with
+        | Ok _ ->
+            let k = Array.length (Ivc_incremental.Engine.changed local) in
+            if i > 0 && 2 * k < S.n_vertices inst' then incr expected
+        | Error e ->
+            Alcotest.failf "local engine: %s"
+              (Ivc_incremental.Engine.error_to_string e));
+        Alcotest.(check (array int))
+          (Printf.sprintf "reply %d is the canonical coloring" i)
+          (Ivc_incremental.Engine.resolve inst')
+          s.Proto.starts;
+        (match Client.verify_delta ~expect_fp:fp' inst' s with
+        | Ok _ -> ()
+        | Error e ->
+            Alcotest.failf "reply %d failed verification: %s" i
+              (Client.error_to_string e));
+        if budget = Some 0 then
+          Alcotest.(check string) "budget 0 is a fallback sweep" "resolved"
+            s.Proto.provenance;
+        (i + 1, inst', fp'))
+      (0, small_inst, Snapshot.fingerprint small_inst)
+      steps
+  in
+  Alcotest.(check bool) "some replies were patched" true (!expected > 0);
+  Alcotest.(check int) "server.delta_patched counts the patched replies"
+    !expected
+    (patched_replies () - before)
+
 let test_e2e_delta_unknown_and_bad () =
   with_server @@ fun addr ->
   let c = connect addr in
@@ -496,13 +720,7 @@ let test_e2e_delta_fifo_bounded () =
   match Client.stats c with
   | Error e -> Alcotest.failf "stats failed: %s" (Client.error_to_string e)
   | Ok json ->
-      let has needle =
-        let n = String.length needle and m = String.length json in
-        let rec at i =
-          i + n <= m && (String.sub json i n = needle || at (i + 1))
-        in
-        at 0
-      in
+      let has = contains json in
       Alcotest.(check bool) "repair table stayed within capacity" true
         (has {|"repair":{"size":1,"capacity":1,|})
 
@@ -517,13 +735,7 @@ let test_e2e_ping_and_stats () =
   match Client.stats c with
   | Error e -> Alcotest.failf "stats failed: %s" (Client.error_to_string e)
   | Ok json ->
-      let has needle =
-        let n = String.length needle and m = String.length json in
-        let rec at i =
-          i + n <= m && (String.sub json i n = needle || at (i + 1))
-        in
-        at 0
-      in
+      let has = contains json in
       Alcotest.(check bool) "stats has a server block" true (has "\"server\"");
       Alcotest.(check bool) "stats carries request counters" true
         (has "server.requests")
@@ -1303,6 +1515,144 @@ let test_e2e_replication_promote () =
   | Ok _ -> Alcotest.fail "expected a solution"
   | Error e -> Alcotest.failf "delta failed: %s" (Client.error_to_string e)
 
+(* ---- the bounded feed ------------------------------------------------- *)
+
+(* A delta op of [pairs] zero bumps: a valid no-op whose journal payload
+   is 16 bytes a pair, so a few of them push the feed past its bound. *)
+let big_batch pairs = D.Batch (Array.init pairs (fun k -> (k mod 64, 0)))
+
+let replication_cfg ?wal_dir ?(segment = 1 lsl 20) sock =
+  {
+    (Server.default_config (Server.Unix_sock sock)) with
+    Server.workers = 1;
+    queue_capacity = 8;
+    cache_capacity = 8;
+    repair_capacity = 8;
+    wal_dir;
+    wal_segment_bytes = segment;
+    wal_fsync = false;
+  }
+
+(* Solve small_inst, then journal [batches] big batches on one
+   connection; returns the chain key after the last one. *)
+let journal_big_batches addr ~batches =
+  let s0 = solve_ok addr ~opts:fast_opts small_inst in
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.fold_left
+    (fun fp d ->
+      ignore (delta_ok c ~fp d);
+      D.chain_fp fp d)
+    s0.Proto.fingerprint
+    (List.init batches (fun _ -> big_batch 100_000))
+
+let with_dirs prefixes f =
+  let dirs = List.map temp_dir prefixes in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun d -> try rm_rf d with Sys_error _ | Unix.Unix_error _ -> ()) dirs)
+    (fun () -> f dirs)
+
+let with_sock prefix f =
+  let sock = Filename.temp_file prefix ".sock" in
+  Fun.protect ~finally:(fun () -> try Sys.remove sock with Sys_error _ -> ()) (fun () -> f sock)
+
+(* A standby that asks for every op from 0 after the primary's
+   in-memory tail has moved on: the early ops come back from the WAL,
+   in order, and the promoted standby continues the chain. *)
+let check_standby_from_zero ~wal =
+  with_dirs [ "ivc-tail-p"; "ivc-tail-s" ] @@ fun dirs ->
+  let pdir = List.nth dirs 0 and sdir = List.nth dirs 1 in
+  with_sock "ivc_tail_p" @@ fun psock ->
+  with_sock "ivc_tail_s" @@ fun ssock ->
+  let primary =
+    Server.start (replication_cfg ?wal_dir:(if wal then Some pdir else None) psock)
+  in
+  Fun.protect ~finally:(fun () -> Server.stop primary) @@ fun () ->
+  let read_back = Ivc_obs.Counter.make "server.repl_ops_read_back" in
+  let read_before = Ivc_obs.Counter.value read_back in
+  let fp = journal_big_batches (Server.Unix_sock psock) ~batches:4 in
+  let head = Server.repl_head primary in
+  Alcotest.(check int) "solve and batches journaled" 5 head;
+  if wal then
+    Alcotest.(check bool) "the tail moved past 0" true (Server.repl_tail primary > 0)
+  else Alcotest.(check int) "without a WAL every op stays" 0 (Server.repl_tail primary);
+  let standby =
+    Server.start
+      { (replication_cfg ~wal_dir:sdir ssock) with Server.standby = true; lease_s = 300.0 }
+  in
+  let repl =
+    Replica.start ~recv_timeout_s:2.0 standby ~upstream:(Server.Unix_sock psock)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Replica.stop repl;
+      Server.stop standby)
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while Server.repl_applied standby < head && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Alcotest.(check int) "standby applied every op" head (Server.repl_applied standby);
+  if wal then
+    Alcotest.(check bool) "early ops were read back from the WAL" true
+      (Ivc_obs.Counter.value read_back > read_before);
+  ignore (Server.promote standby);
+  (* the chain only exists if every op landed, in order *)
+  let sc = connect (Server.Unix_sock ssock) in
+  Fun.protect ~finally:(fun () -> Client.close sc) @@ fun () ->
+  let d = D.Bump { v = 0; dw = 1 } in
+  let s = delta_ok sc ~fp d in
+  match
+    Client.verify_delta ~expect_fp:(D.chain_fp fp d)
+      (apply_mirror small_inst d)
+      s
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "replayed chain: %s" (Client.error_to_string e)
+
+let test_e2e_standby_reads_back_wal () = check_standby_from_zero ~wal:true
+let test_e2e_no_wal_keeps_every_op () = check_standby_from_zero ~wal:false
+
+(* A hole in the WAL below the tail: the stream ships the ops before
+   it, in order, and then the typed out-of-log error — never the ops
+   after the hole. Each big batch fills a segment, so segment 1 holds
+   exactly op 2; [damage] removes it or cuts it back to its header (a
+   scrub re-installing an empty valid prefix). *)
+let check_wal_hole ~damage =
+  with_dirs [ "ivc-hole" ] @@ fun dirs ->
+  let dir = List.hd dirs in
+  with_sock "ivc_hole" @@ fun sock ->
+  let srv = Server.start (replication_cfg ~wal_dir:dir ~segment:4096 sock) in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  ignore (journal_big_batches (Server.Unix_sock sock) ~batches:4);
+  let tail = Server.repl_tail srv in
+  Alcotest.(check bool) "ops 0 and 1 live only in the WAL" true (tail >= 2);
+  (* segment 0 holds the solve and the first batch *)
+  damage (Filename.concat dir (Printf.sprintf "wal-%016x.seg" 1));
+  let c = connect (Server.Unix_sock sock) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.send c (Proto.Replicate { from_seq = 0 }) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "replicate: %s" (Client.error_to_string e));
+  let rec recv expect =
+    match Client.recv ~idle_timeout_s:5.0 c with
+    | Ok (Proto.Op { seq; _ }) ->
+        Alcotest.(check int) "ops arrive in order, from 0" expect seq;
+        recv (seq + 1)
+    | Ok (Proto.Error { code = Proto.Bad_request; message }) ->
+        Alcotest.(check int) "the stream stops at the hole" 2 expect;
+        Alcotest.(check bool) "typed out-of-log error" true
+          (contains message "outside the log")
+    | Ok _ -> Alcotest.fail "unexpected frame on the stream"
+    | Error e -> Alcotest.failf "stream broke: %s" (Client.error_to_string e)
+  in
+  recv 0
+
+let test_e2e_wal_hole_is_typed () =
+  check_wal_hole ~damage:Sys.remove;
+  check_wal_hole ~damage:(fun path -> Unix.truncate path 8)
+
 let test_e2e_client_failover () =
   with_server @@ fun addr ->
   let dead = Filename.temp_file "ivc_dead" ".sock" in
@@ -1486,6 +1836,18 @@ let suite =
       test_e2e_client_failover;
     Alcotest.test_case "e2e: delta re-key discipline" `Quick
       test_e2e_delta_rekey_discipline;
+    Alcotest.test_case "patch application rejects bad patches" `Quick
+      test_apply_patch;
+    Alcotest.test_case "op codec stays at v4 across the wire bump" `Quick
+      test_op_codec_v4;
+    Alcotest.test_case "e2e: one-connection delta chain answers with patches"
+      `Quick test_e2e_delta_patch_chain;
+    Alcotest.test_case "e2e: standby from 0 reads evicted ops back from the WAL"
+      `Quick test_e2e_standby_reads_back_wal;
+    Alcotest.test_case "e2e: without a WAL the feed serves from 0" `Quick
+      test_e2e_no_wal_keeps_every_op;
+    Alcotest.test_case "e2e: a WAL hole ends the stream typed" `Quick
+      test_e2e_wal_hole_is_typed;
     Alcotest.test_case "e2e: standby lease expiry" `Quick
       test_e2e_standby_lease_expiry;
   ]
