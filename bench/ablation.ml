@@ -5,7 +5,6 @@
    - iterated greedy (Culberson) on top of the best heuristic;
    - weight-landscape sensitivity via the structured generators;
    - scheduler policy sensitivity for the STKDE DAGs;
-   - speculative parallel coloring vs sequential greedy;
    - the open-problem gap hunt (Section VIII). *)
 
 open Common
@@ -130,34 +129,6 @@ let scheduling_policy () =
     rows;
   Format.fprintf fmt "@."
 
-let parallel_coloring () =
-  section "Ablation: speculative parallel coloring (Gebremedhin-Manne style)";
-  let inst = Gen.uniform ~seed:11 ~bound:40 ~x:48 ~y:48 in
-  let order = Ivc.Order.largest_first inst in
-  let w = (inst : S.t).w in
-  let seq = Ivc.Greedy.color_in_order inst order in
-  let rows =
-    [ 1; 2; 4 ]
-    |> List.map (fun workers ->
-           let starts, stats =
-             Ivc_parcolor.Parallel_greedy.color ~workers ~order inst
-           in
-           assert (Ivc.Coloring.is_valid inst starts);
-           [
-             string_of_int workers;
-             string_of_int (Ivc.Coloring.maxcolor ~w starts);
-             string_of_int stats.Ivc_parcolor.Parallel_greedy.rounds;
-             string_of_int stats.Ivc_parcolor.Parallel_greedy.conflicts_total;
-             Printf.sprintf "%.1f" (1000.0 *. stats.Ivc_parcolor.Parallel_greedy.elapsed_s);
-           ])
-  in
-  Format.fprintf fmt "sequential greedy: %d colors@,"
-    (Ivc.Coloring.maxcolor ~w seq);
-  Perfprof.Ascii.table fmt
-    ~header:[ "workers"; "maxcolor"; "rounds"; "conflicts"; "ms" ]
-    rows;
-  Format.fprintf fmt "@."
-
 let gap_hunt () =
   section "Open problem (Sec VIII): hunting instances above every lower bound";
   let found = Ivc_exact.Hardness.search ~time_limit_s:1.0 ~seeds:(List.init 250 Fun.id) () in
@@ -175,5 +146,4 @@ let run () =
   post_optimization ();
   iterated_greedy ();
   scheduling_policy ();
-  parallel_coloring ();
   gap_hunt ()

@@ -25,10 +25,8 @@ let apply_exn eng ?budget d =
       Format.printf "bench incremental: %s@." (E.error_to_string e);
       exit 1
 
-(* p-th percentile of a sorted array, in microseconds *)
-let pct sorted p =
-  let n = Array.length sorted in
-  1e6 *. sorted.(min (n - 1) (int_of_float (p *. Float.of_int n)))
+(* p-th percentile, in microseconds *)
+let pct samples p = 1e6 *. Perfprof.Stats.percentile samples p
 
 let summary ?(bumps = 128) () =
   let inst = gll_512 () in
@@ -60,8 +58,6 @@ let summary ?(bumps = 128) () =
        coloring@.";
     exit 1
   end;
-  Array.sort compare rt;
-  Array.sort compare st;
   let speedup = pct st 0.5 /. Float.max 1e-3 (pct rt 0.5) in
   Format.printf
     "bench incremental: 512x512 GLL, %d 1-cell bumps: repair p50=%.1fus \

@@ -44,12 +44,7 @@ let inst_of i =
   else S.init2 ~x:10 ~y:10 (fun _ _ -> f ())
 
 let percentile latencies p =
-  match List.sort compare latencies with
-  | [] -> 0.0
-  | l ->
-      let n = List.length l in
-      let k = min (n - 1) (int_of_float (p *. Float.of_int n)) in
-      1000.0 *. List.nth l k
+  1000.0 *. Perfprof.Stats.percentile (Array.of_list latencies) p
 
 let summary () =
   let path = Filename.temp_file "ivc_bench" ".sock" in

@@ -1249,12 +1249,7 @@ let client_burst_cmd =
     in
     List.iter Thread.join threads;
     let percentile p =
-      match List.sort compare !latencies with
-      | [] -> 0.0
-      | l ->
-          let n = List.length l in
-          let k = min (n - 1) (int_of_float (p *. Float.of_int n)) in
-          1000.0 *. List.nth l k
+      1000.0 *. Perfprof.Stats.percentile (Array.of_list !latencies) p
     in
     let sheds = !shed_full + !shed_large + !shed_expired in
     Format.printf
@@ -1406,12 +1401,7 @@ let client_delta_cmd =
             incr failures)
       deltas;
     let percentile p =
-      match List.sort compare !latencies with
-      | [] -> 0.0
-      | l ->
-          let n = List.length l in
-          let k = min (n - 1) (int_of_float (p *. Float.of_int n)) in
-          1000.0 *. List.nth l k
+      1000.0 *. Perfprof.Stats.percentile (Array.of_list !latencies) p
     in
     Format.printf
       "delta: count=%d repaired=%d resolved=%d verified=%d failures=%d \
@@ -1580,35 +1570,23 @@ let parcolor_cmd =
     Arg.(
       value & opt int 4 & info [ "workers"; "j" ] ~docv:"P" ~doc:"Domains.")
   in
-  let run inst workers deadline faults obs =
+  let run inst workers obs =
     with_obs obs @@ fun () ->
-    let plan = fault_plan_of faults in
-    let fault =
-      if Ivc_resilient.Faults.is_none plan then None
-      else
-        Some (Ivc_resilient.Faults.parcolor_hook plan ~n:(S.n_vertices inst))
-    in
-    let token = Ivc_resilient.Deadline.make ?seconds:deadline () in
-    let cancel = Ivc_resilient.Deadline.as_fn token in
-    let starts, stats =
-      Ivc_parcolor.Parallel_greedy.color ~workers ~cancel ?fault inst
-    in
+    let module P = Ivc_kernel.Par_sweep in
+    let starts, stats = P.color ~workers inst in
     (* the certificate gate, not just the library's own checker *)
     let mc = Ivc_resilient.Cert.assert_ok inst starts in
     Format.printf
-      "%s: %d colors with %d workers (%d rounds, %d conflicts, %d faults \
-       recovered%s, %.1f ms)@."
-      (S.describe inst) mc workers stats.Ivc_parcolor.Parallel_greedy.rounds
-      stats.Ivc_parcolor.Parallel_greedy.conflicts_total
-      stats.Ivc_parcolor.Parallel_greedy.faults_recovered
-      (if stats.Ivc_parcolor.Parallel_greedy.cancelled then
-         ", cancelled by deadline"
-       else "")
-      (1000.0 *. stats.Ivc_parcolor.Parallel_greedy.elapsed_s)
+      "%s: %d colors with %d workers (%d tiles, %d seam cells, %d steals, \
+       %.1f ms)@."
+      (S.describe inst) mc stats.P.workers stats.P.tiles stats.P.seam
+      stats.P.steals
+      (1000.0 *. stats.P.elapsed_s)
   in
   Cmd.v
-    (Cmd.info "parcolor" ~doc:"Speculative parallel greedy coloring on domains")
-    Term.(const run $ instance_t $ workers_t $ deadline_t $ faults_t $ obs_t)
+    (Cmd.info "parcolor"
+       ~doc:"Deterministic tiled parallel coloring on work-stealing domains")
+    Term.(const run $ instance_t $ workers_t $ obs_t)
 
 let () =
   let doc = "Interval vertex coloring of 9-pt and 27-pt stencils" in

@@ -1,6 +1,8 @@
 module S = Ivc_grid.Stencil
 module F = Ivc_resilient.Faults
 
+let mix64 = Ivc_persist.Snapshot.mix64
+
 (* Counter-mode splitmix64: the key identifies the (seed, stream)
    pair, the counter advances per draw. No hidden global state, so
    streams are independent and replay exactly. *)
@@ -9,7 +11,7 @@ type rng = { key : int64; mutable n : int }
 let rng ~seed ~stream =
   {
     key =
-      F.mix64
+      mix64
         (Int64.logxor (F.key_of_seed seed)
            (Int64.mul 0x94d049bb133111ebL (Int64.of_int (stream + 1))));
     n = 0;
@@ -37,7 +39,7 @@ let hash inst =
   let mix acc v =
     Int64.to_int
       (Int64.shift_right_logical
-         (F.mix64 (Int64.logxor (Int64.of_int acc) (F.mix64 (Int64.of_int v))))
+         (mix64 (Int64.logxor (Int64.of_int acc) (mix64 (Int64.of_int v))))
          2)
   in
   let acc =

@@ -177,36 +177,6 @@ let par_diff =
              [ 1; 2 ]));
   }
 
-(* ---- parcolor ------------------------------------------------------------ *)
-
-let parcolor =
-  {
-    O.name = "parcolor";
-    description =
-      "speculative parallel greedy certifies; one worker = sequential \
-       greedy exactly";
-    applies = (fun _ -> true);
-    run =
-      (fun inst ->
-        let starts, _ = Ivc_parcolor.Parallel_greedy.color ~workers:2 inst in
-        O.both (certify inst ~who:"parcolor workers=2" starts) (fun () ->
-            let order = S.row_major_order inst in
-            let seq = Ivc.Greedy.color_in_order inst order in
-            let one, stats =
-              Ivc_parcolor.Parallel_greedy.color ~workers:1 ~order inst
-            in
-            if one <> seq then
-              let v = first_mismatch seq one in
-              O.failf
-                "one worker diverges from sequential at vertex %d (%d <> %d)"
-                v one.(v) seq.(v)
-            else
-              O.check
-                (stats.Ivc_parcolor.Parallel_greedy.conflicts_total = 0)
-                "one worker reported %d speculation conflicts"
-                stats.Ivc_parcolor.Parallel_greedy.conflicts_total));
-  }
-
 (* ---- bound-sandwich ------------------------------------------------------- *)
 
 (* Node budget sized so the exact stage stays sub-second on the <= 36
@@ -1301,7 +1271,6 @@ let all =
     kernel_diff;
     tiled_diff;
     par_diff;
-    parcolor;
     bound_sandwich;
     bound_monotone;
     metamorphic;

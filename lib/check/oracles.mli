@@ -11,8 +11,6 @@
        its own tile order, for several tile sizes.}
     {- [par-diff] — the deterministic parallel sweep equals the
        reference on [equivalent_order] for 1 and 2 workers.}
-    {- [parcolor] — the speculative parallel engine certifies, and
-       with one worker matches the sequential greedy exactly.}
     {- [bound-sandwich] — lower bounds never exceed any heuristic,
        family exact optima (chains, block cliques) sandwich correctly,
        and on small instances the exact solver's bounds bracket the
@@ -29,7 +27,6 @@ val cert : Oracle.t
 val kernel_diff : Oracle.t
 val tiled_diff : Oracle.t
 val par_diff : Oracle.t
-val parcolor : Oracle.t
 val bound_sandwich : Oracle.t
 val bound_monotone : Oracle.t
 val metamorphic : Oracle.t

@@ -44,8 +44,8 @@ val flush_stats : scratch -> unit
 (** [first_fit_for sc ~starts v] is the lowest start for [v]'s weight
     that avoids every colored ([>= 0]) positive-weight neighbor of [v]
     in [starts]. Pure with respect to [starts]; only [sc] is mutated.
-    This is the re-fit primitive used by the iterated-greedy passes and
-    the speculative parallel engine. *)
+    This is the re-fit primitive used by the iterated-greedy passes,
+    the parallel sweep's seam cells and the out-of-core window. *)
 val first_fit_for : scratch -> starts:int array -> int -> int
 
 (** [first_fit_below sc ~starts v] is {!first_fit_for} restricted to

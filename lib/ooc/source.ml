@@ -34,21 +34,9 @@ let of_stencil inst =
     fingerprint = Ivc_persist.Snapshot.fingerprint inst;
   }
 
-(* splitmix64 finalizer — the same mixer the persist fingerprint and
-   the fuzz generators use, applied in counter mode: weight of cell
-   [id] is a pure function of (seed, id). *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* The persist fingerprint's splitmix64 finalizer, applied in counter
+   mode: weight of cell [id] is a pure function of (seed, id). *)
+let mix64 = Ivc_persist.Snapshot.mix64
 
 let seeded_weight ~seed ~bound id =
   let h =

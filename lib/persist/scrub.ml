@@ -44,29 +44,6 @@ let quarantine ~qdir path =
   Unix.rename path dest;
   Ivc_obs.Counter.incr c_quarantined
 
-(* Re-derive the valid prefix of a damaged WAL segment: write it to a
-   temp file, fsync, rename over the original — never leave a window
-   where the segment is half-rewritten. The damaged original was
-   already moved to quarantine by the caller. *)
-let install_prefix path contents valid_bytes =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      ignore (Unix.write_substring fd contents 0 valid_bytes);
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  Ivc_obs.Counter.incr c_repaired
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let scrub_one ~qdir path =
   let name = Filename.basename path in
   if Filename.check_suffix name ".snap" then
@@ -79,10 +56,16 @@ let scrub_one ~qdir path =
     match Wal.verify_file path with
     | `Ok _ -> `Ok
     | `Damaged (_, valid_bytes) ->
-        let contents = try read_file path with Sys_error _ -> "" in
+        let contents =
+          try Wal.read_file path with Sys_error _ | End_of_file -> ""
+        in
         quarantine ~qdir path;
         if valid_bytes > 0 && valid_bytes <= String.length contents then begin
-          install_prefix path contents valid_bytes;
+          (* re-derive the valid prefix through the atomic install:
+             never a half-rewritten segment, and the directory sync
+             makes the rename survive a power cut *)
+          Snapshot.install path (String.sub contents 0 valid_bytes);
+          Ivc_obs.Counter.incr c_repaired;
           `Repaired
         end
         else `Quarantined

@@ -75,15 +75,10 @@ let of_string s =
               Error Truncated)
 
 (* Atomic install. The temp name is deterministic (single writer per
-   checkpoint file): a crash mid-write leaves a stale .tmp that the
-   next save simply overwrites, and the destination is only ever
-   replaced by a complete, fsynced file. *)
-let save path t =
-  Ivc_obs.Span.record ~cat:"persist"
-    ~args:[ ("kind", t.kind); ("path", path) ]
-    "persist.snapshot_write"
-  @@ fun () ->
-  let bytes = to_string t in
+   file): a crash mid-write leaves a stale .tmp that the next install
+   simply overwrites, and the destination is only ever replaced by a
+   complete, fsynced file. *)
+let install path bytes =
   let tmp = path ^ ".tmp" in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -100,12 +95,20 @@ let save path t =
       Unix.fsync fd);
   Unix.rename tmp path;
   (* best-effort directory sync so the rename itself is durable *)
-  (try
-     let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-     Fun.protect
-       ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
-       (fun () -> Unix.fsync dir)
-   with Unix.Unix_error _ | Sys_error _ -> ());
+  try
+    let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
+      (fun () -> Unix.fsync dir)
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
+let save path t =
+  Ivc_obs.Span.record ~cat:"persist"
+    ~args:[ ("kind", t.kind); ("path", path) ]
+    "persist.snapshot_write"
+  @@ fun () ->
+  let bytes = to_string t in
+  install path bytes;
   Ivc_obs.Counter.incr c_written;
   Ivc_obs.Counter.add c_bytes (String.length bytes)
 
@@ -132,9 +135,9 @@ let decode t ~kind read =
     | v -> Ok v
     | exception Codec.Corrupt msg -> Error (Bad_payload msg)
 
-(* splitmix64 over dims and weights; the same finalizer as
-   [Ivc_resilient.Faults] but independent of it (persist sits below
-   resilient in the dependency order). *)
+(* splitmix64 over dims and weights. Persist sits lowest in the
+   dependency order, so this finalizer is the one every seeded stream
+   shares. *)
 let mix64 z =
   let z =
     Int64.mul

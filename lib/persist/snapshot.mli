@@ -49,8 +49,15 @@ val of_string : string -> (t, error) result
 (** Pure framing decode; exercised byte-by-byte by the corruption
     tests. *)
 
+val install : string -> string -> unit
+(** [install path bytes] atomically replaces [path] with [bytes]:
+    write to [path ^ ".tmp"], fsync, rename over [path], then a
+    best-effort fsync of the directory so the rename itself is
+    durable. Raises [Sys_error] / [Unix.Unix_error] if the destination
+    is unwritable. *)
+
 val save : string -> t -> unit
-(** Atomic install (write-to-temp + fsync + rename). Records the
+(** Atomic {!install} of the framed snapshot. Records the
     [persist.snapshots_written] / [persist.snapshot_bytes] counters and
     a [persist.snapshot_write] span. Raises [Sys_error] /
     [Unix.Unix_error] if the destination is unwritable — losing the
@@ -64,6 +71,12 @@ val decode :
 (** [decode snap ~kind read] checks the kind tag then runs [read] on
     the payload, converting [Codec.Corrupt] into [Bad_payload] and
     enforcing that [read] consumes the payload exactly. *)
+
+val mix64 : int64 -> int64
+(** One splitmix64 finalizer round: a bijective avalanche mix. The
+    mixer behind {!fingerprint}, shared by every seeded stream (fault
+    plans, fuzz instances, out-of-core weights) so they all draw from
+    one generator. *)
 
 val fingerprint : Ivc_grid.Stencil.t -> int64
 (** Deterministic structural fingerprint (dims + weights) embedded in

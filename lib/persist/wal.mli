@@ -94,6 +94,10 @@ val verify_file : string -> [ `Ok of int | `Damaged of int * int ]
     [`Damaged (valid_records, valid_bytes)] locates the first bad
     frame (an unreadable or headerless file is [`Damaged (0, 0)]). *)
 
+val read_file : string -> string
+(** A whole file's bytes. Raises [Sys_error] (or [End_of_file] if the
+    file shrinks mid-read). *)
+
 val is_segment : string -> bool
 (** [true] on a sealed segment's basename ([wal-<16 hex>.seg]). *)
 

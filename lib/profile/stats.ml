@@ -18,6 +18,15 @@ let median a =
     if n land 1 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
   end
 
+let percentile a p =
+  let n = Array.length a in
+  if n = 0 then 0.0
+  else begin
+    let b = Array.copy a in
+    Array.sort compare b;
+    b.(min (n - 1) (int_of_float (p *. Float.of_int n)))
+  end
+
 let min_max a =
   Array.fold_left
     (fun (lo, hi) x -> (min lo x, max hi x))

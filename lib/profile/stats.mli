@@ -5,6 +5,12 @@
 val mean : float array -> float
 val geometric_mean : float array -> float
 val median : float array -> float
+
+(** [percentile xs p] is the nearest-rank [p]-quantile of [xs]: the
+    sorted sample at index [min (n-1) (floor (p*n))]; 0 on empty
+    input. The latency percentiles of the bench and CLI reports. *)
+val percentile : float array -> float -> float
+
 val min_max : float array -> float * float
 
 (** [avg_ratio values refs] is the mean of values./refs (pairs with a

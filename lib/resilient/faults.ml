@@ -65,14 +65,13 @@ let from_env () =
   | Some s when String.trim s = "" -> None
   | Some s -> Some (parse s)
 
-(* splitmix64 finalizer over (seed, task, attempt); the low 53 bits
-   give a uniform draw in [0, 1). *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let mix64 = Ivc_persist.Snapshot.mix64
+
+(* The high 53 bits of a mix over (seed, ...): a uniform draw in
+   [0, 1). *)
+let u53 z =
+  Float.of_int (Int64.to_int (Int64.shift_right_logical z 11))
+  /. 9007199254740992.0 (* 2^53 *)
 
 let key_of_seed seed = mix64 (Int64.add (Int64.of_int seed) 0x9e3779b97f4a7c15L)
 
@@ -83,9 +82,14 @@ let mix_int ~key i =
 let u01 plan ~task ~attempt =
   let z = key_of_seed plan.seed in
   let z = mix64 (Int64.logxor z (Int64.of_int task)) in
-  let z = mix64 (Int64.logxor z (Int64.of_int (attempt * 0x51ed + 1))) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  Float.of_int bits /. 9007199254740992.0 (* 2^53 *)
+  u53 (mix64 (Int64.logxor z (Int64.of_int (attempt * 0x51ed + 1))))
+
+let backoff_s ~seed ~base_s ~max_s ~jitter ~attempt =
+  let attempt = max 0 attempt in
+  let capped = Float.min max_s (base_s *. (2.0 ** Float.of_int attempt)) in
+  let z = key_of_seed seed in
+  let u = u53 (mix64 (Int64.logxor z (Int64.of_int ((attempt * 2) + 1)))) in
+  capped *. (1.0 -. (jitter *. u))
 
 let decide plan ~task ~attempt =
   if is_none plan then None
@@ -97,10 +101,8 @@ let decide plan ~task ~attempt =
       Some (Delay plan.delay_s)
     else None
 
-let attempts_table n = Array.init n (fun _ -> Atomic.make 0)
-
 let wrap plan ~n work =
-  let attempts = attempts_table n in
+  let attempts = Array.init n (fun _ -> Atomic.make 0) in
   fun v ->
     let a = Atomic.fetch_and_add attempts.(v) 1 in
     match decide plan ~task:v ~attempt:a with
@@ -114,21 +116,5 @@ let wrap plan ~n work =
         work v
     | Some Lost_result ->
         work v;
-        Ivc_obs.Counter.incr c_lost;
-        raise (Injected { kind = "lost-result"; task = v; attempt = a })
-
-let parcolor_hook plan ~n =
-  let attempts = attempts_table n in
-  fun ~round:_ v ->
-    let a = Atomic.fetch_and_add attempts.(v) 1 in
-    match decide plan ~task:v ~attempt:a with
-    | None -> ()
-    | Some (Delay s) ->
-        Ivc_obs.Counter.incr c_delay;
-        if s > 0.0 then Unix.sleepf s
-    | Some Crash ->
-        Ivc_obs.Counter.incr c_crash;
-        raise (Injected { kind = "crash"; task = v; attempt = a })
-    | Some Lost_result ->
         Ivc_obs.Counter.incr c_lost;
         raise (Injected { kind = "lost-result"; task = v; attempt = a })

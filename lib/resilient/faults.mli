@@ -59,13 +59,11 @@ val decide : plan -> task:int -> attempt:int -> kind option
 
 (** {1 The underlying PRNG}
 
-    The splitmix64 finalizer behind every fault decision, exported so
-    other deterministic tooling (the [Ivc_check] fuzzer's instance
-    streams) draws from the exact same generator instead of growing a
-    second one. *)
-
-(** One splitmix64 finalizer round: a bijective avalanche mix. *)
-val mix64 : int64 -> int64
+    Counter-mode streams over {!Ivc_persist.Snapshot.mix64}, the
+    splitmix64 finalizer behind every fault decision. Exported so other
+    deterministic tooling (the [Ivc_check] fuzzer's instance streams,
+    network fault plans, retry and restart jitter) draws from the same
+    generator instead of growing a second one. *)
 
 (** [mix_int ~key i] hashes [(key, i)] to a non-negative 62-bit int;
     deterministic, uniform, and cheap — the counter-mode building
@@ -76,6 +74,14 @@ val mix_int : key:int64 -> int -> int
     stream key (one golden-ratio increment plus a mix round). *)
 val key_of_seed : int -> int64
 
+(** [backoff_s ~seed ~base_s ~max_s ~jitter ~attempt] is the jittered
+    exponential delay before re-attempt [attempt] (0-based):
+    [min max_s (base_s * 2^attempt)] scaled down by up to [jitter],
+    deterministic in (seed, attempt). The client's retry schedule and
+    the supervisor's restart schedule are both this function. *)
+val backoff_s :
+  seed:int -> base_s:float -> max_s:float -> jitter:float -> attempt:int -> float
+
 (** [wrap plan ~n work] wraps a pool work function over tasks
     [0 .. n-1]: each call consumes one attempt for its task (attempt
     counts are kept internally, atomically — safe from any domain) and
@@ -83,10 +89,3 @@ val key_of_seed : int -> int64
     lost-result faults raise after. Injections are counted via
     [faults.injected_*] counters. *)
 val wrap : plan -> n:int -> (int -> unit) -> int -> unit
-
-(** [parcolor_hook plan ~n] is the pre-execution hook shape used by
-    [Parallel_greedy.color ?fault]: lost-result faults are treated as
-    crashes (a lost speculative write and a crashed write are
-    indistinguishable there — the vertex just stays uncolored and is
-    re-enqueued). *)
-val parcolor_hook : plan -> n:int -> round:int -> int -> unit

@@ -326,73 +326,98 @@ let default_retry =
   }
 
 let retry_delay_s p ~attempt =
-  let attempt = max 0 attempt in
-  let raw = p.base_delay_s *. (2.0 ** Float.of_int attempt) in
-  let capped = Float.min p.max_delay_s raw in
-  let z = Faults.key_of_seed p.seed in
-  let z = Faults.mix64 (Int64.logxor z (Int64.of_int ((attempt * 2) + 1))) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  let u = Float.of_int bits /. 9007199254740992.0 (* 2^53 *) in
-  capped *. (1.0 -. (p.jitter *. u))
+  Faults.backoff_s ~seed:p.seed ~base_s:p.base_delay_s ~max_s:p.max_delay_s
+    ~jitter:p.jitter ~attempt
 
-let solve_verified ?(retry = default_retry) ~addr
-    ?(opts = Proto.default_solve_options) inst =
-  let rec attempt k last_err =
+(* What one answer means to the retry walk: [Answer] ends it, [Retry]
+   moves on to the next endpoint (or the next round) and carries the
+   error to report if nothing later succeeds, plus whether the request
+   may have been applied before it failed — the one fact a delta's
+   retry needs (see {!delta_verified}). *)
+type verdict =
+  | Answer of Proto.response
+  | Retry of { err : error; landed : bool }
+
+(* Classify one answer. A verified [Solution] is an answer and an
+   unverifiable one is retried (it arrived, so it may have landed).
+   Frame-level rejections mean the server rejected what *arrived* —
+   when the request was damaged or stalled in flight, that is a
+   transport failure wearing a typed response, and the untouched
+   original is safe to resend. [Not_primary] is retried only by the
+   failover pair ([skip_standby]), which has another endpoint to try.
+   The remaining typed answers (Shed, Internal, Cert_failed, and a
+   standby's refusal to a single-address call) are server decisions
+   about a request it understood: return them, do not hammer a
+   saturated or failing server. *)
+let classify ~skip_standby ~verify = function
+  | Ok (Proto.Solution s) -> (
+      match verify s with
+      | Ok s -> Answer (Proto.Solution s)
+      | Error err -> Retry { err; landed = true })
+  | Ok (Proto.Error { code = Proto.Not_primary; message }) when skip_standby ->
+      Retry { err = Io ("standby refused: " ^ message); landed = false }
+  | Ok
+      (Proto.Error
+         {
+           code =
+             ( Proto.Bad_frame | Proto.Bad_request | Proto.Bad_version
+             | Proto.Conn_timeout );
+           message;
+         }) ->
+      Retry
+        { err = Io ("server rejected the frame: " ^ message); landed = false }
+  | Ok resp -> Answer resp
+  | Error err -> Retry { err; landed = true }
+
+(* The retry walk behind all four retrying calls. Each round walks the
+   endpoint list in order — a single address is a one-endpoint list —
+   with a fresh connection per attempt, closed on every path; an
+   exhausted round backs off with the shared jittered schedule before
+   walking the list again. [exchange send] runs one attempt, [send]
+   being {!request} on its connection; an [Answer] ends the walk with
+   the endpoint index and round that produced it. *)
+let walk retry eps exchange =
+  let rec round k last_err =
     if k >= max 1 retry.attempts then Error last_err
     else begin
       if k > 0 then Thread.delay (retry_delay_s retry ~attempt:(k - 1));
-      match connect ~timeout_s:retry.connect_timeout_s addr with
-      | Error e -> attempt (k + 1) e
-      | Ok c -> (
-          let finish r =
-            close c;
-            r
-          in
-          match
-            request ?timeout_s:retry.request_timeout_s c
-              (Proto.Solve { inst; opts })
-          with
-          | Ok (Proto.Solution s) -> (
-              (* re-issue is safe: a Solve is idempotent, keyed by the
-                 instance fingerprint the response must echo *)
-              match verify_solution inst s with
-              | Ok s -> finish (Ok (Proto.Solution s))
-              | Error e ->
-                  close c;
-                  attempt (k + 1) e)
-          | Ok
-              (Proto.Error
-                 {
-                   code =
-                     ( Proto.Bad_frame | Proto.Bad_request | Proto.Bad_version
-                     | Proto.Conn_timeout );
-                   message;
-                 }) ->
-              (* the server rejected what *arrived* — when the request
-                 was damaged or stalled in flight, that is a transport
-                 failure wearing a typed response, and the untouched
-                 original is safe to resend *)
-              close c;
-              attempt (k + 1) (Io ("server rejected the frame: " ^ message))
-          | Ok resp ->
-              (* the remaining typed answers (Shed, Internal,
-                 Cert_failed) are server decisions about a request it
-                 understood: return them, do not hammer a saturated or
-                 failing server *)
-              finish (Ok resp)
-          | Error e ->
-              close c;
-              attempt (k + 1) e)
+      let rec next i last_err =
+        if i >= Array.length eps then round (k + 1) last_err
+        else
+          match connect ~timeout_s:retry.connect_timeout_s eps.(i) with
+          | Error e -> next (i + 1) e
+          | Ok c -> (
+              let send = request ?timeout_s:retry.request_timeout_s c in
+              match
+                Fun.protect
+                  ~finally:(fun () -> close c)
+                  (fun () -> exchange send)
+              with
+              | Answer resp -> Ok (resp, i, k)
+              | Retry { err; _ } -> next (i + 1) err)
+      in
+      next 0 last_err
     end
   in
-  attempt 0 (Connect "no attempt made")
+  round 0 (Connect "no attempt made")
+
+let answer_only = Result.map (fun (resp, _, _) -> resp)
+
+(* Re-issue is safe: a Solve is idempotent, keyed by the instance
+   fingerprint the response must echo. *)
+let solve_verified ?(retry = default_retry) ~addr
+    ?(opts = Proto.default_solve_options) inst =
+  walk retry [| addr |] (fun send ->
+      classify ~skip_standby:false ~verify:(verify_solution inst)
+        (send (Proto.Solve { inst; opts })))
+  |> answer_only
 
 (* Deltas are NOT idempotent the way solves are: re-sending a delta
    that already landed is rejected as [Unknown_fingerprint] (the chain
    advanced past the key we are using), which is indistinguishable on
-   its face from eviction. The [ambiguous] flag tracks whether any
-   earlier attempt could have landed (a failure after the request may
-   have left the server applied-but-unacknowledged); only then does an
+   its face from eviction. [ambiguous] records whether any earlier
+   attempt could have landed (a failure after the request may have
+   left the server applied-but-unacknowledged); only then does an
    [Unknown_fingerprint] trigger the probe: an empty [Batch] at the
    advanced key is a valid no-op, and a verified answer to it is proof
    the original landed — its fingerprint is the caller's new chain
@@ -403,56 +428,30 @@ let delta_verified ?(retry = default_retry) ~addr ?budget ~fp ~mirror d =
   let expect_fp = Delta.chain_fp fp d in
   let probe = Delta.Batch [||] in
   let probe_fp = Delta.chain_fp expect_fp probe in
-  let rec attempt k ambiguous last_err =
-    if k >= max 1 retry.attempts then Error last_err
-    else begin
-      if k > 0 then Thread.delay (retry_delay_s retry ~attempt:(k - 1));
-      match connect ~timeout_s:retry.connect_timeout_s addr with
-      | Error e -> attempt (k + 1) ambiguous e
-      | Ok c -> (
-          let finish r =
-            close c;
-            r
-          in
+  let ambiguous = ref false in
+  walk retry [| addr |] (fun send ->
+      match send (Proto.Delta { fp; delta = d; budget }) with
+      | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ } as orig)
+        when !ambiguous -> (
           match
-            request ?timeout_s:retry.request_timeout_s c
-              (Proto.Delta { fp; delta = d; budget })
+            send (Proto.Delta { fp = expect_fp; delta = probe; budget = None })
           with
           | Ok (Proto.Solution s) -> (
-              match verify_delta ~expect_fp mirror s with
-              | Ok s -> finish (Ok (Proto.Solution s))
-              | Error e ->
-                  close c;
-                  attempt (k + 1) true e)
-          | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ }) as orig
-            when ambiguous -> (
-              match
-                request ?timeout_s:retry.request_timeout_s c
-                  (Proto.Delta { fp = expect_fp; delta = probe; budget = None })
-              with
-              | Ok (Proto.Solution s) -> (
-                  match verify_delta ~expect_fp:probe_fp mirror s with
-                  | Ok s -> finish (Ok (Proto.Solution s))
-                  | Error _ -> finish orig)
-              | _ -> finish orig)
-          | Ok
-              (Proto.Error
-                 {
-                   code =
-                     ( Proto.Bad_frame | Proto.Bad_request | Proto.Bad_version
-                     | Proto.Conn_timeout );
-                   message;
-                 }) ->
-              close c;
-              attempt (k + 1) ambiguous
-                (Io ("server rejected the frame: " ^ message))
-          | Ok resp -> finish (Ok resp)
-          | Error e ->
-              close c;
-              attempt (k + 1) true e)
-    end
-  in
-  attempt 0 false (Connect "no attempt made")
+              match verify_delta ~expect_fp:probe_fp mirror s with
+              | Ok s -> Answer (Proto.Solution s)
+              | Error _ -> Answer orig)
+          | _ -> Answer orig)
+      | r ->
+          let v =
+            classify ~skip_standby:false
+              ~verify:(verify_delta ~expect_fp mirror)
+              r
+          in
+          (match v with
+          | Retry { landed = true; _ } -> ambiguous := true
+          | _ -> ());
+          v)
+  |> answer_only
 
 (* ---- multi-endpoint failover ------------------------------------------ *)
 
@@ -469,74 +468,30 @@ let failover_to_string f =
     f.attempt
     (if f.failed_over then ", failed over" else "")
 
-(* One round walks the endpoint list in order; a transport failure, a
-   refused standby ([Not_primary]) or a verification failure advances
-   to the next endpoint, and an exhausted round backs off with the
-   shared jittered schedule before walking the list again — so the
-   window where a killed primary's standby has not yet been promoted
-   (or its lease has not yet expired) is ridden out by retrying, not
-   surfaced to the caller. *)
-let endpoints_of ~who = function
+(* A refused standby advances to the next endpoint like a transport
+   failure, so the window where a killed primary's standby has not yet
+   been promoted (or its lease has not yet expired) is ridden out by
+   retrying, not surfaced to the caller. *)
+let failover_walk ~who retry endpoints exchange =
+  match endpoints with
   | [] -> invalid_arg ("Client." ^ who ^ ": empty endpoint list")
-  | eps -> Array.of_list eps
+  | eps ->
+      let eps = Array.of_list eps in
+      walk retry eps exchange
+      |> Result.map (fun (resp, i, attempt) ->
+             ( resp,
+               {
+                 endpoint = eps.(i);
+                 endpoint_index = i;
+                 attempt;
+                 failed_over = i > 0 || attempt > 0;
+               } ))
 
 let solve_failover ?(retry = default_retry) ~endpoints
     ?(opts = Proto.default_solve_options) inst =
-  let eps = endpoints_of ~who:"solve_failover" endpoints in
-  let prov ~i ~attempt =
-    {
-      endpoint = eps.(i);
-      endpoint_index = i;
-      attempt;
-      failed_over = i > 0 || attempt > 0;
-    }
-  in
-  let rec round attempt last_err =
-    if attempt >= max 1 retry.attempts then Error last_err
-    else begin
-      if attempt > 0 then Thread.delay (retry_delay_s retry ~attempt:(attempt - 1));
-      let rec try_ep i last_err =
-        if i >= Array.length eps then round (attempt + 1) last_err
-        else
-          match connect ~timeout_s:retry.connect_timeout_s eps.(i) with
-          | Error e -> try_ep (i + 1) e
-          | Ok c -> (
-              let finish r =
-                close c;
-                r
-              in
-              match
-                request ?timeout_s:retry.request_timeout_s c
-                  (Proto.Solve { inst; opts })
-              with
-              | Ok (Proto.Solution s) -> (
-                  match verify_solution inst s with
-                  | Ok s -> finish (Ok (Proto.Solution s, prov ~i ~attempt))
-                  | Error e ->
-                      close c;
-                      try_ep (i + 1) e)
-              | Ok (Proto.Error { code = Proto.Not_primary; message }) ->
-                  close c;
-                  try_ep (i + 1) (Io ("standby refused: " ^ message))
-              | Ok
-                  (Proto.Error
-                     {
-                       code =
-                         ( Proto.Bad_frame | Proto.Bad_request
-                         | Proto.Bad_version | Proto.Conn_timeout );
-                       message;
-                     }) ->
-                  close c;
-                  try_ep (i + 1) (Io ("server rejected the frame: " ^ message))
-              | Ok resp -> finish (Ok (resp, prov ~i ~attempt))
-              | Error e ->
-                  close c;
-                  try_ep (i + 1) e)
-      in
-      try_ep 0 last_err
-    end
-  in
-  round 0 (Connect "no attempt made")
+  failover_walk ~who:"solve_failover" retry endpoints (fun send ->
+      classify ~skip_standby:true ~verify:(verify_solution inst)
+        (send (Proto.Solve { inst; opts })))
 
 (* The failover delta does not need the landed-or-not probe: an
    [Unknown_fingerprint] anywhere (evicted, a standby that never saw
@@ -545,92 +500,15 @@ let solve_failover ?(retry = default_retry) ~endpoints
    and the returned fingerprint (the mirror's own) is the new chain
    key either way. *)
 let delta_failover ?(retry = default_retry) ~endpoints ?budget ~fp ~mirror d =
-  let eps = endpoints_of ~who:"delta_failover" endpoints in
   let expect_fp = Delta.chain_fp fp d in
-  let prov ~i ~attempt =
-    {
-      endpoint = eps.(i);
-      endpoint_index = i;
-      attempt;
-      failed_over = i > 0 || attempt > 0;
-    }
-  in
-  let rec round attempt last_err =
-    if attempt >= max 1 retry.attempts then Error last_err
-    else begin
-      if attempt > 0 then Thread.delay (retry_delay_s retry ~attempt:(attempt - 1));
-      let rec try_ep i last_err =
-        if i >= Array.length eps then round (attempt + 1) last_err
-        else
-          match connect ~timeout_s:retry.connect_timeout_s eps.(i) with
-          | Error e -> try_ep (i + 1) e
-          | Ok c -> (
-              let finish r =
-                close c;
-                r
-              in
-              let resolve_mirror () =
-                match
-                  request ?timeout_s:retry.request_timeout_s c
-                    (Proto.Solve
-                       { inst = mirror; opts = Proto.default_solve_options })
-                with
-                | Ok (Proto.Solution s) -> (
-                    match verify_solution mirror s with
-                    | Ok s -> finish (Ok (Proto.Solution s, prov ~i ~attempt))
-                    | Error e ->
-                        close c;
-                        try_ep (i + 1) e)
-                | Ok (Proto.Error { code = Proto.Not_primary; message }) ->
-                    close c;
-                    try_ep (i + 1) (Io ("standby refused: " ^ message))
-                | Ok
-                    (Proto.Error
-                       {
-                         code =
-                           ( Proto.Bad_frame | Proto.Bad_request
-                           | Proto.Bad_version | Proto.Conn_timeout );
-                         message;
-                       }) ->
-                    close c;
-                    try_ep (i + 1)
-                      (Io ("server rejected the frame: " ^ message))
-                | Ok resp -> finish (Ok (resp, prov ~i ~attempt))
-                | Error e ->
-                    close c;
-                    try_ep (i + 1) e
-              in
-              match
-                request ?timeout_s:retry.request_timeout_s c
-                  (Proto.Delta { fp; delta = d; budget })
-              with
-              | Ok (Proto.Solution s) -> (
-                  match verify_delta ~expect_fp mirror s with
-                  | Ok s -> finish (Ok (Proto.Solution s, prov ~i ~attempt))
-                  | Error e ->
-                      close c;
-                      try_ep (i + 1) e)
-              | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ }) ->
-                  resolve_mirror ()
-              | Ok (Proto.Error { code = Proto.Not_primary; message }) ->
-                  close c;
-                  try_ep (i + 1) (Io ("standby refused: " ^ message))
-              | Ok
-                  (Proto.Error
-                     {
-                       code =
-                         ( Proto.Bad_frame | Proto.Bad_request
-                         | Proto.Bad_version | Proto.Conn_timeout );
-                       message;
-                     }) ->
-                  close c;
-                  try_ep (i + 1) (Io ("server rejected the frame: " ^ message))
-              | Ok resp -> finish (Ok (resp, prov ~i ~attempt))
-              | Error e ->
-                  close c;
-                  try_ep (i + 1) e)
-      in
-      try_ep 0 last_err
-    end
-  in
-  round 0 (Connect "no attempt made")
+  failover_walk ~who:"delta_failover" retry endpoints (fun send ->
+      match send (Proto.Delta { fp; delta = d; budget }) with
+      | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ }) ->
+          classify ~skip_standby:true ~verify:(verify_solution mirror)
+            (send
+               (Proto.Solve
+                  { inst = mirror; opts = Proto.default_solve_options }))
+      | r ->
+          classify ~skip_standby:true
+            ~verify:(verify_delta ~expect_fp mirror)
+            r)

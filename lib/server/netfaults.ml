@@ -15,6 +15,7 @@
    client-side re-certification has to catch. *)
 
 module Faults = Ivc_resilient.Faults
+module Snapshot = Ivc_persist.Snapshot
 module Obs = Ivc_obs
 
 let c_delay = Obs.Counter.make "netfaults.injected_delay"
@@ -105,8 +106,10 @@ type kind = Delay of float | Tear | Reset | Stall of float | Corrupt
    per mixed-in value, same construction as Faults.u01. *)
 let u01 p ~stream ~chunk =
   let z = Faults.key_of_seed p.seed in
-  let z = Faults.mix64 (Int64.logxor z (Int64.of_int ((stream * 2) + 1))) in
-  let z = Faults.mix64 (Int64.logxor z (Int64.of_int ((chunk * 0x51ed) + 1))) in
+  let z = Snapshot.mix64 (Int64.logxor z (Int64.of_int ((stream * 2) + 1))) in
+  let z =
+    Snapshot.mix64 (Int64.logxor z (Int64.of_int ((chunk * 0x51ed) + 1)))
+  in
   let bits = Int64.to_int (Int64.shift_right_logical z 11) in
   Float.of_int bits /. 9007199254740992.0 (* 2^53 *)
 

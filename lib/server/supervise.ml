@@ -37,18 +37,9 @@ type verdict =
   | Restart_after of float
   | Give_up of string
 
-(* Uniform [0, 1) from (seed, attempt), splitmix64-finalized. *)
-let u01 cfg attempt =
-  let z = Faults.key_of_seed cfg.seed in
-  let z = Faults.mix64 (Int64.logxor z (Int64.of_int ((attempt * 2) + 1))) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  Float.of_int bits /. 9007199254740992.0 (* 2^53 *)
-
 let backoff_s cfg ~attempt =
-  let attempt = max 0 attempt in
-  let raw = cfg.base_backoff_s *. (2.0 ** Float.of_int attempt) in
-  let capped = Float.min cfg.max_backoff_s raw in
-  capped *. (1.0 -. (cfg.jitter *. u01 cfg attempt))
+  Faults.backoff_s ~seed:cfg.seed ~base_s:cfg.base_backoff_s
+    ~max_s:cfg.max_backoff_s ~jitter:cfg.jitter ~attempt
 
 let on_exit cfg st ~uptime_s ~(status : Unix.process_status) =
   let deliberate =

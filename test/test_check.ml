@@ -298,7 +298,7 @@ let test_fuzz_repro_files_replay () =
 (* ---- oracle registry ------------------------------------------------------- *)
 
 let test_registry_lookup () =
-  Alcotest.(check int) "fourteen production oracles" 14
+  Alcotest.(check int) "thirteen production oracles" 13
     (List.length Oracles.all);
   List.iter
     (fun (o : Oracle.t) ->

@@ -96,7 +96,7 @@ let test_svg_of_dataset_coloring () =
 let test_parallel_coloring_feeds_scheduler () =
   (* parallel coloring -> DAG -> pool execution, full loop *)
   let inst = Util.random_inst2 ~seed:123 ~x:8 ~y:8 ~bound:9 in
-  let starts, _ = Ivc_parcolor.Parallel_greedy.color ~workers:2 inst in
+  let starts, _ = Ivc_kernel.Par_sweep.color ~workers:2 inst in
   let dag =
     Taskpar.Dag.of_coloring inst ~starts ~cost:(fun _ -> 1.0)
   in

@@ -25,7 +25,6 @@ let () =
       ("iterated-greedy", Test_iterated.suite);
       ("classic-coloring", Test_classic.suite);
       ("hardness", Test_hardness.suite);
-      ("parallel-coloring", Test_parcolor.suite);
       ("resilience", Test_resilient.suite);
       ("out-of-core", Test_ooc.suite);
       ("check", Test_check.suite);

@@ -97,7 +97,7 @@ let test_exports_well_formed () =
     with_recording (fun () ->
         let inst = Util.random_inst2 ~seed:7 ~x:8 ~y:8 ~bound:9 in
         ignore (Ivc.Greedy.color_in_order inst (S.row_major_order inst));
-        ignore (Ivc_parcolor.Parallel_greedy.color ~workers:2 inst);
+        ignore (Ivc_kernel.Par_sweep.color ~workers:2 inst);
         ( Json.to_string (Obs.Export.chrome_trace ()),
           Json.to_string (Obs.Export.metrics ()) ))
   in

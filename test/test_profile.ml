@@ -60,6 +60,21 @@ let test_stats_ratios () =
   Alcotest.(check (float 1e-9)) "pct improvement" 100.0
     (St.pct_improvement [| 1.0 |] [| 2.0 |])
 
+let test_stats_percentile () =
+  Alcotest.(check (float 0.)) "empty is 0" 0.0 (St.percentile [||] 0.5);
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.)) "one sample is every percentile" 4.5
+        (St.percentile [| 4.5 |] p))
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  (* nearest rank: index min (n-1) (floor (p*n)) of the sorted samples *)
+  let xs = [| 7.; 3.; 10.; 1.; 5.; 9.; 2.; 8.; 4.; 6. |] in
+  Alcotest.(check (float 0.)) "p50 of 10" 6.0 (St.percentile xs 0.5);
+  Alcotest.(check (float 0.)) "p99 of 10" 10.0 (St.percentile xs 0.99);
+  Alcotest.(check (float 0.)) "p100 clamps to the max" 10.0
+    (St.percentile xs 1.0);
+  Alcotest.(check (float 0.)) "input left unsorted" 7.0 xs.(0)
+
 let test_ascii_renders () =
   let out = Format.asprintf "%a" (fun f p -> Perfprof.Ascii.render_profiles f p) (profiles ()) in
   Alcotest.(check bool) "profile canvas non-empty" true (String.length out > 100);
@@ -82,5 +97,6 @@ let suite =
     Alcotest.test_case "empty input" `Quick test_empty;
     Alcotest.test_case "stats basics" `Quick test_stats_basic;
     Alcotest.test_case "stats ratios" `Quick test_stats_ratios;
+    Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "ascii rendering" `Quick test_ascii_renders;
   ]

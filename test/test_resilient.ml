@@ -1,5 +1,5 @@
 (* The resilience layer: deadline tokens, the certificate gate, the
-   portfolio driver, fault injection, and the hardened pool/parcolor
+   portfolio driver, fault injection, and the hardened pool and STKDE
    recovery paths.
 
    The fault tests honor IVC_FAULT_PLAN when set (that is how the CI
@@ -290,36 +290,6 @@ let test_pool_failure_counters () =
       Alcotest.(check int) "permanent counted" 1
         (v "pool.tasks_failed_permanently"))
 
-(* ---- parcolor recovery --------------------------------------------------- *)
-
-let test_parcolor_recovers_from_faults () =
-  let plan = env_plan (Faults.parse "seed=17,crash=0.4,lost=0.1") in
-  let inst = Util.random_inst2 ~seed:41 ~x:16 ~y:16 ~bound:12 in
-  let fault = Faults.parcolor_hook plan ~n:(S.n_vertices inst) in
-  let starts, stats = Ivc_parcolor.Parallel_greedy.color ~workers:(Util.workers ()) ~fault inst in
-  Util.check_valid inst starts;
-  Alcotest.(check bool) "faults were recovered" true
-    (stats.Ivc_parcolor.Parallel_greedy.faults_recovered > 0)
-
-let test_parcolor_cancelled_still_complete () =
-  let inst = Util.random_inst2 ~seed:43 ~x:16 ~y:16 ~bound:12 in
-  let starts, stats =
-    Ivc_parcolor.Parallel_greedy.color ~workers:(Util.workers ()) ~cancel:(fun () -> true) inst
-  in
-  Util.check_valid inst starts;
-  Alcotest.(check bool) "reported cancelled" true
-    stats.Ivc_parcolor.Parallel_greedy.cancelled
-
-let qtest_parcolor_fault_validity =
-  Util.qtest ~count:25 "parcolor valid under faults" Util.gen_inst2
-    (fun inst ->
-      let plan = env_plan (Faults.parse "seed=19,crash=0.3") in
-      let fault = Faults.parcolor_hook plan ~n:(S.n_vertices inst) in
-      let starts, _ =
-        Ivc_parcolor.Parallel_greedy.color ~workers:(Util.workers ~max:2 ()) ~fault inst
-      in
-      Ivc.Coloring.is_valid inst starts)
-
 (* ---- stkde end-to-end under faults ---------------------------------------- *)
 
 let test_stkde_faulty_matches_sequential () =
@@ -367,11 +337,6 @@ let suite =
     Alcotest.test_case "pool typed failure" `Quick test_pool_typed_failure;
     Alcotest.test_case "pool run re-raises" `Quick test_pool_run_reraises;
     Alcotest.test_case "pool failure counters" `Quick test_pool_failure_counters;
-    Alcotest.test_case "parcolor recovers from faults" `Quick
-      test_parcolor_recovers_from_faults;
-    Alcotest.test_case "parcolor cancelled still complete" `Quick
-      test_parcolor_cancelled_still_complete;
-    qtest_parcolor_fault_validity;
     Alcotest.test_case "stkde under faults" `Quick
       test_stkde_faulty_matches_sequential;
   ]

@@ -1457,6 +1457,43 @@ let test_e2e_replication_promote () =
    | Ok _ -> Alcotest.fail "standby served inside the lease"
    | Error e ->
        Alcotest.failf "standby request failed: %s" (Client.error_to_string e));
+  (* a single-address call has nowhere else to go: the refusal is a
+     server decision, returned after one attempt with no backoff slept *)
+  (let retry =
+     {
+       Client.default_retry with
+       Client.attempts = 2;
+       base_delay_s = 5.0;
+       max_delay_s = 5.0;
+       jitter = 0.0;
+     }
+   in
+   let t0 = Unix.gettimeofday () in
+   (match
+      Client.solve_verified ~retry ~addr:(Server.Unix_sock ssock)
+        ~opts:fast_opts small_inst
+    with
+   | Ok (Proto.Error { code = Proto.Not_primary; _ }) -> ()
+   | Ok _ -> Alcotest.fail "solve_verified: standby served inside the lease"
+   | Error e ->
+       Alcotest.failf "solve_verified retried the refusal: %s"
+         (Client.error_to_string e));
+   Alcotest.(check bool) "one attempt, no backoff" true
+     (Unix.gettimeofday () -. t0 < 4.0));
+  (* the failover walk skips the refusal and answers from the primary *)
+  (match
+     Client.solve_failover
+       ~endpoints:[ Server.Unix_sock ssock; Server.Unix_sock psock ]
+       ~opts:fast_opts small_inst
+   with
+  | Ok (Proto.Solution s, f) ->
+      ignore (Cert.assert_ok small_inst s.Proto.starts);
+      Alcotest.(check int) "the primary answered" 1 f.Client.endpoint_index;
+      Alcotest.(check bool) "rode past the standby" true f.Client.failed_over
+  | Ok _ -> Alcotest.fail "expected a solution from the primary"
+  | Error e ->
+      Alcotest.failf "failover past the standby failed: %s"
+        (Client.error_to_string e));
   (* the op stream drains *)
   let deadline = Unix.gettimeofday () +. 8.0 in
   let rec drain () =
@@ -1726,6 +1763,90 @@ let test_e2e_delta_rekey_discipline () =
   | Error e ->
       Alcotest.failf "delta_failover failed: %s" (Client.error_to_string e)
 
+(* A lossy link that forwards frames both ways but swallows the reply
+   to the first [Delta] it carries and hangs up: the server applied
+   that delta, the client never hears so. [f] gets the link's address
+   and a probe telling whether the reply was swallowed yet. *)
+let with_lost_delta_reply upstream f =
+  let upstream_path =
+    match upstream with
+    | Server.Unix_sock p -> p
+    | Server.Tcp _ -> invalid_arg "with_lost_delta_reply: unix sockets only"
+  in
+  let front = Filename.temp_file "ivc_lossy" ".sock" in
+  Sys.remove front;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX front);
+  Unix.listen lfd 8;
+  let stop = Atomic.make false and dropped = Atomic.make false in
+  let pump cfd =
+    let ufd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let rec loop () =
+      match Proto.read_frame cfd with
+      | Error _ -> ()
+      | Ok req -> (
+          Proto.write_frame ufd req;
+          match Proto.read_frame ufd with
+          | Error _ -> ()
+          | Ok reply -> (
+              match Proto.decode_request req with
+              | Ok (Proto.Delta _) when not (Atomic.exchange dropped true) -> ()
+              | _ ->
+                  Proto.write_frame cfd reply;
+                  loop ()))
+    in
+    (try
+       Unix.connect ufd (Unix.ADDR_UNIX upstream_path);
+       loop ()
+     with Unix.Unix_error _ | Sys_error _ -> ());
+    Unix.close ufd;
+    Unix.close cfd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ lfd ] [] [] 0.05 with
+          | [ _ ], _, _ ->
+              let cfd, _ = Unix.accept lfd in
+              ignore (Thread.create pump cfd)
+          | _ -> ()
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      Unix.close lfd;
+      try Sys.remove front with Sys_error _ -> ())
+    (fun () -> f (Server.Unix_sock front) (fun () -> Atomic.get dropped))
+
+(* delta_verified's probe branch: the first attempt's delta lands but
+   its reply is lost, so the retry's Unknown_fingerprint is ambiguous.
+   The empty-Batch probe at the advanced key must then answer, verified
+   against the mirror and keyed one link past the original delta. *)
+let test_e2e_delta_probe_after_lost_reply () =
+  with_server @@ fun addr ->
+  let s0 = solve_ok addr ~opts:fast_opts small_inst in
+  let fp = s0.Proto.fingerprint in
+  let d = D.Bump { v = 5; dw = 2 } in
+  let mirror = apply_mirror small_inst d in
+  let retry =
+    { Client.default_retry with Client.base_delay_s = 0.01; max_delay_s = 0.05 }
+  in
+  with_lost_delta_reply addr @@ fun front dropped ->
+  match Client.delta_verified ~retry ~addr:front ~fp ~mirror d with
+  | Ok (Proto.Solution s) ->
+      Alcotest.(check bool) "the first reply was lost" true (dropped ());
+      Alcotest.(check bool) "keyed past the probe" true
+        (Int64.equal s.Proto.fingerprint
+           (D.chain_fp (D.chain_fp fp d) (D.Batch [||])));
+      ignore (Cert.assert_ok mirror s.Proto.starts)
+  | Ok _ -> Alcotest.fail "expected the probe's verified solution"
+  | Error e ->
+      Alcotest.failf "delta_verified failed: %s" (Client.error_to_string e)
+
 (* Split-brain safety: an unpromoted standby refuses while its lease
    is fresh, serves (without flipping role) once the lease expires
    with no primary contact, and re-arms on renewed contact. *)
@@ -1850,4 +1971,6 @@ let suite =
       test_e2e_wal_hole_is_typed;
     Alcotest.test_case "e2e: standby lease expiry" `Quick
       test_e2e_standby_lease_expiry;
+    Alcotest.test_case "e2e: a lost delta reply is recovered by the probe"
+      `Quick test_e2e_delta_probe_after_lost_reply;
   ]
