@@ -17,14 +17,9 @@
    snapshot-write counters to the robustness summary, so the kill-
    resume CI job's artifacts are self-describing.
 
-   Schema 5 adds the "server" block: a short self-hosted client burst
-   against an in-process solve daemon (see server_bench.ml), reporting
-   request counts, latency percentiles, cache hit rate and sheds.
-
-   Schema 6 adds the "chaos" block: the same burst routed through the
-   seeded Netfaults proxy with the retrying verified client, reporting
-   availability, degraded fraction and p99 latency under a fixed
-   fault plan.
+   Schemas 5 and 6 add the "server" and "chaos" blocks: a client
+   burst against an in-process daemon, plain and through the
+   netfaults proxy.
 
    Schema 7 adds the "ooc" block inside "perf" (out-of-core tiled
    sweep: vertices/s, spill and halo bytes, resident-tile high-water,
@@ -34,13 +29,17 @@
    Schema 8 adds the "incremental" block: repair latency percentiles
    of seeded 1-cell bumps on the 512x512 GLL grid against the
    full-resolve fallback baseline, plus the p50 speedup (see
-   incremental_bench.ml). Reported, not gated. *)
+   incremental_bench.ml). Reported, not gated.
+
+   Schema 9 drops the "server" and "chaos" blocks: perfbench's serve
+   and stream workloads, the chaos oracle and the chaos-smoke CI job
+   measure and check those paths. *)
 
 module Cat = Spatial_data.Catalog
 module S = Ivc_grid.Stencil
 module Json = Ivc_obs.Json
 
-let schema_version = 8
+let schema_version = 9
 
 (* Deadline given to the resilient portfolio on each instance; small, so
    the bench stays CI-friendly — hard instances report heuristic or
@@ -73,8 +72,7 @@ let portfolio_of ~id inst =
         (Ivc_resilient.Cert.to_string e);
       exit 1
 
-let document ~scale ~subsample ~reps ~perf ~server ~chaos ~incremental runs
-    ids portfolios =
+let document ~scale ~subsample ~reps ~perf ~incremental runs ids portfolios =
   let algo_names = Array.to_list Common.algo_names in
   let instances =
     List.map2
@@ -200,8 +198,6 @@ let document ~scale ~subsample ~reps ~perf ~server ~chaos ~incremental runs
       ("summary", summary);
       ("robustness", robustness);
       ("perf", Perf.to_json perf);
-      ("server", server);
-      ("chaos", chaos);
       ("incremental", incremental);
       ("metrics", Ivc_obs.Export.metrics ());
     ]
@@ -283,12 +279,9 @@ let run ?(out = "BENCH_PR.json") ?baseline ?perf_baseline ?(scale = 0.05)
       entries ids
   in
   let perf = Perf.measure ~reps () in
-  let server = Server_bench.summary () in
-  let chaos = Server_bench.chaos_summary () in
   let incremental = Incremental_bench.summary () in
   let doc =
-    document ~scale ~subsample ~reps ~perf ~server ~chaos ~incremental runs
-      ids portfolios
+    document ~scale ~subsample ~reps ~perf ~incremental runs ids portfolios
   in
   Ivc_obs.set_enabled false;
   let oc = open_out out in

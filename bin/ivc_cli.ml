@@ -1270,8 +1270,8 @@ let client_burst_cmd =
       $ total_t $ conc_t $ repeat_every_t $ mix3d_t $ retries_t $ endpoints_t)
 
 (* Exercise the v3 incremental-repair path end to end: solve once so
-   the daemon holds repair state for the instance, then walk a seeded
-   delta chain against the cached fingerprint. Every reply is
+   the daemon caches the instance, then walk a seeded delta chain from
+   the cached fingerprint. Every reply is
    re-verified client-side — the instance mirror after
    [Delta.apply_pure], the chain key after [Delta.chain_fp], and the
    full certificate — so a wrong repair cannot pass silently. CI's
@@ -1314,7 +1314,8 @@ let client_delta_cmd =
     in
     let c = connect_or_die addr in
     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    (* seed the daemon's repair state (a cache hit seeds it too) *)
+    (* cache the instance: the chain's first delta seeds the daemon's
+       repair state from it *)
     (match Client.solve c ~opts inst with
     | Ok (Proto.Solution s) ->
         ignore (Ivc_resilient.Cert.assert_ok inst s.Proto.starts)

@@ -55,15 +55,18 @@ let cache_t =
   Arg.(
     value & opt int 256
     & info [ "cache-cap" ] ~docv:"N"
-        ~doc:"Fingerprint solution-cache entries (0 disables caching).")
+        ~doc:
+          "Fingerprint solution-cache entries (0 disables caching, and \
+           with it deltas, whose chains start at cached instances).")
 
 let repair_t =
   Arg.(
     value & opt int 16
     & info [ "repair-cap" ] ~docv:"N"
         ~doc:
-          "Live incremental-repair states (one per solved instance, keyed \
-           by chain fingerprint; 0 disables the v3 delta path).")
+          "Live incremental-repair states (one per delta chain, keyed by \
+           chain fingerprint and seeded from the cache on the chain's \
+           first delta; 0 disables the v3 delta path).")
 
 let max_vertices_t =
   Arg.(

@@ -920,7 +920,9 @@ let incremental =
    drain) and the standby promoted over the wire; the client must
    finish the burst 100% certified, the promoted standby must serve
    exactly the journaled WAL prefix (replayed, re-certified — asserted
-   through a cache hit and a per-op re-solve), and damaged copies of
+   through a cache hit, a per-op re-solve, and a plain delta at the
+   head of each delta chain, one of which starts after a cache hit
+   that journals nothing), and damaged copies of
    the journal (truncation mid-frame, a bit flip) must fail closed on
    replay and be quarantined by a scrub pass that stays idempotent. *)
 module Wal = Ivc_persist.Wal
@@ -1073,8 +1075,9 @@ let replication =
               note (who ^ ": " ^ Cl.error_to_string e);
               None
         in
-        let mirror = ref inst and fp = ref (Snapshot.fingerprint inst) in
-        let delta_fo who d =
+        (* a chain is its client-side mirror and its head key *)
+        let new_chain () = (ref inst, ref (Snapshot.fingerprint inst)) in
+        let delta_fo who (mirror, fp) d =
           match Delta.apply_pure !mirror d with
           | Error _ -> () (* the generator only draws valid deltas *)
           | Ok inst' -> (
@@ -1099,14 +1102,22 @@ let replication =
               | Error e -> note (who ^ ": " ^ Cl.error_to_string e))
         in
         let deltas = Gen.delta_stream ~length:4 ~seed:h inst in
-        (* phase A: journal a mixed prefix through the faulty proxy *)
+        let chain1 = new_chain () and chain2 = new_chain () in
+        (* phase A: journal a mixed prefix through the faulty proxy,
+           then a second chain from the instance key after a cache-hit
+           solve; its leading empty Batch keeps its keys apart from
+           the first chain's *)
         ignore (solve_fo "solve A" inst);
         (match deltas with
         | a :: b :: _ ->
-            delta_fo "delta A0" a;
-            delta_fo "delta A1" b
-        | [ a ] -> delta_fo "delta A0" a
+            delta_fo "delta A0" chain1 a;
+            delta_fo "delta A1" chain1 b
+        | [ a ] -> delta_fo "delta A0" chain1 a
         | [] -> ());
+        ignore (solve_fo "solve A again" inst);
+        List.iteri
+          (fun i d -> delta_fo (Printf.sprintf "delta A'%d" i) chain2 d)
+          (Delta.Batch [||] :: Gen.delta_stream ~length:2 ~seed:(h + 2) inst);
         (* the standby must drain to lag 0 before the crash *)
         let t0 = Ivc_obs.now_ns () in
         let rec drain () =
@@ -1137,6 +1148,42 @@ let replication =
                     (Printf.sprintf "promoted at applied_seq %d, journaled %d"
                        applied journaled)
             | Error e -> note ("promote: " ^ Cl.error_to_string e)));
+        (* every chain the primary served lives on in the promoted
+           standby: a plain delta at its head answers and certifies.
+           Not delta_failover, whose re-solve would hide a lost chain *)
+        List.iteri
+          (fun i (mirror, fp) ->
+            let probe = Delta.Batch [||] in
+            match Cl.connect ~timeout_s:2.0 (Srv.Unix_sock sb) with
+            | Error e ->
+                note
+                  (Printf.sprintf "chain %d head: connect: %s" i
+                     (Cl.error_to_string e))
+            | Ok c -> (
+                let r = Cl.delta ~timeout_s:5.0 c ~fp:!fp probe in
+                Cl.close c;
+                match r with
+                | Ok (P.Solution s) -> (
+                    match
+                      Cl.verify_delta
+                        ~expect_fp:(Delta.chain_fp !fp probe)
+                        !mirror s
+                    with
+                    | Ok s -> fp := s.P.fingerprint
+                    | Error e ->
+                        note
+                          (Printf.sprintf "chain %d head on the standby: %s" i
+                             (Cl.error_to_string e)))
+                | Ok (P.Error { code; message }) ->
+                    note
+                      (Printf.sprintf "chain %d head lost on the standby: %s: %s"
+                         i (P.error_code_to_string code) message)
+                | Ok _ -> note (Printf.sprintf "chain %d head: not a Solution" i)
+                | Error e ->
+                    note
+                      (Printf.sprintf "chain %d head: %s" i
+                         (Cl.error_to_string e))))
+          [ chain1; chain2 ];
         (* phase B: the burst finishes through failover; the re-solve
            of the journaled instance must hit the replayed cache *)
         (match solve_fo "solve B" inst with
@@ -1147,7 +1194,7 @@ let replication =
         (match deltas with
         | _ :: _ :: rest ->
             List.iteri
-              (fun i d -> delta_fo (Printf.sprintf "delta B%d" i) d)
+              (fun i d -> delta_fo (Printf.sprintf "delta B%d" i) chain1 d)
               rest
         | _ -> ());
         (* the journaled prefix is the authority: decode, re-certify,

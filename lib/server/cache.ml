@@ -72,6 +72,12 @@ let store t ~fp ~inst entry =
     Mutex.unlock t.mutex
   end
 
+let instance t fp =
+  Mutex.lock t.mutex;
+  let r = Option.map (fun slot -> slot.inst) (Hashtbl.find_opt t.table fp) in
+  Mutex.unlock t.mutex;
+  r
+
 let size t =
   Mutex.lock t.mutex;
   let n = Hashtbl.length t.table in

@@ -33,6 +33,10 @@ val store : t -> fp:int64 -> inst:Ivc_grid.Stencil.t -> entry -> unit
 (** Idempotent on an existing fingerprint; evicts the oldest entry
     when full. *)
 
+val instance : t -> int64 -> Ivc_grid.Stencil.t option
+(** The instance stored under a fingerprint, if any: what the repair
+    table seeds an engine from. Not counted as a hit or a miss. *)
+
 val size : t -> int
 val capacity : t -> int
 

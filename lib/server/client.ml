@@ -112,6 +112,9 @@ let close t =
   t.base <- None;
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+let interrupt t =
+  try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
 (* "unix:PATH", "HOST:PORT", or a bare path (a unix socket) — the
    endpoint syntax of --replica-of and repeated --endpoint flags. *)
 let addr_of_string s =
@@ -413,11 +416,14 @@ let solve_verified ?(retry = default_retry) ~addr
   |> answer_only
 
 (* Deltas are NOT idempotent the way solves are: re-sending a delta
-   that already landed is rejected as [Unknown_fingerprint] (the chain
-   advanced past the key we are using), which is indistinguishable on
-   its face from eviction. [ambiguous] records whether any earlier
-   attempt could have landed (a failure after the request may have
-   left the server applied-but-unacknowledged); only then does an
+   that already landed at a mid-chain key is rejected as
+   [Unknown_fingerprint] (the chain advanced past the key we are
+   using), which is indistinguishable on its face from eviction. (At a
+   chain's first key, a cached instance's fingerprint, the server
+   seeds afresh from its cache and answers the same coloring again.)
+   [ambiguous] records whether any earlier attempt could have landed
+   (a failure after the request may have left the server
+   applied-but-unacknowledged); only then does an
    [Unknown_fingerprint] trigger the probe: an empty [Batch] at the
    advanced key is a valid no-op, and a verified answer to it is proof
    the original landed — its fingerprint is the caller's new chain

@@ -32,6 +32,12 @@ val connect : ?timeout_s:float -> Server.addr -> (t, error) result
 
 val close : t -> unit
 
+val interrupt : t -> unit
+(** Shut the connection down both ways without closing it: a thread
+    blocked reading it wakes to end-of-file, and the descriptor stays
+    open until its owner calls {!close}, so its number cannot be
+    handed to another connection while that thread still uses it. *)
+
 val addr_of_string : string -> (Server.addr, string) result
 (** Parse an endpoint: ["unix:PATH"] or a bare path is a Unix-domain
     socket, ["HOST:PORT"] is TCP. The syntax of [--replica-of] and

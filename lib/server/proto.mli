@@ -115,9 +115,10 @@ type error_code =
       (** the connection blew a read/write deadline; best-effort
           notice before the server closes it *)
   | Unknown_fingerprint
-      (** a [Delta] targeted repair state the server does not hold
-          (never solved here, evicted, or the chain diverged); the
-          client falls back to a full [Solve] *)
+      (** a [Delta] targeted a key that is neither a live chain nor a
+          cached instance (never solved here, evicted, a spent
+          mid-chain key, or the chain diverged); the client falls back
+          to a full [Solve] *)
   | Not_primary
       (** a standby refused a [Solve]/[Delta]: its replayed state may
           trail the primary, so it serves only after an explicit

@@ -8,8 +8,11 @@
    stays valid across primary restarts too.
 
    Stopping is cooperative plus a shove: the flag is set and the
-   in-flight connection closed, so a recv blocked in select errors out
-   instead of waiting for the next heartbeat. Promotion uses the same
+   in-flight connection shut down, so a recv blocked in select wakes
+   to end-of-file instead of waiting for the next heartbeat. Only the
+   pump thread closes its connection: a descriptor closed under a
+   thread still reading it is reused by the server's next accept, and
+   the pump would read that client's request. Promotion uses the same
    path through [Server.set_on_promote] — a promoted standby must
    never keep applying ops from the primary it just replaced. *)
 
@@ -52,13 +55,13 @@ let clear_conn t =
   Mutex.unlock t.m;
   match c with Some c -> Client.close c | None -> ()
 
+(* Under the lock: [clear_conn] unpublishes before it closes, so the
+   connection shut down here is still open. *)
 let detach t =
   Mutex.lock t.m;
   t.stopping <- true;
-  let c = t.conn in
-  t.conn <- None;
-  Mutex.unlock t.m;
-  match c with Some c -> Client.close c | None -> ()
+  Option.iter Client.interrupt t.conn;
+  Mutex.unlock t.m
 
 let run t =
   let failures = ref 0 in

@@ -44,7 +44,6 @@ let c_delta_unknown = Obs.Counter.make "server.delta_unknown_fp"
 let c_delta_patched = Obs.Counter.make "server.delta_patched"
 let c_repair_seeded = Obs.Counter.make "server.repair_seeded"
 let c_repair_evicted = Obs.Counter.make "server.repair_evicted"
-let c_repair_compactions = Obs.Counter.make "server.repair_compactions"
 let c_wal_errors = Obs.Counter.make "server.wal_append_errors"
 let c_repl_shipped = Obs.Counter.make "server.repl_ops_shipped"
 let c_repl_wal_reads = Obs.Counter.make "server.repl_ops_read_back"
@@ -126,31 +125,36 @@ let brownout_of cfg ~occupancy : Proto.degrade option =
 
 (* ---- repair-state table ----------------------------------------------
 
-   Incremental repair state, keyed by chain fingerprint: the key of a
-   fresh engine is the solved instance's fingerprint, and every
-   applied delta re-keys the entry through Delta.chain_fp — so a
-   client that replays the same delta sequence computes the same key
-   without ever seeing the engine. One lock covers lookup, apply and
-   re-key: applies are microseconds (worst case one O(n) fallback
-   sweep), and serializing them is what keeps two connections from
-   racing the same engine. Eviction is FIFO over seed insertions;
-   re-keying leaves the stale key in the queue, which eviction simply
-   skips and a periodic compaction drains (Engine state is one
-   instance's worth of arrays, so the cap is a memory bound, not a hot
-   path). Both critical sections unlock via Fun.protect: a surprise
-   exception out of the engine must cost one reply, not wedge the
-   table mutex — and with it every future delta and solve — forever. *)
+   Incremental repair state, keyed by chain fingerprint: every applied
+   delta re-keys its engine through Delta.chain_fp, so a client that
+   replays the same delta sequence computes the same key without ever
+   seeing the engine. The table is a view of the solution cache that
+   fills on first use: a delta at a key the table does not hold seeds
+   an engine from the instance the cache stores under that key, so a
+   chain starts at any cached instance's fingerprint, and a solve, a
+   cache hit or a replayed solve touches only the cache. One lock
+   covers seed, apply and re-key: applies are microseconds (worst case
+   one O(n) seed or fallback sweep), and serializing them is what keeps
+   two connections from racing the same engine. Lock order is table,
+   then cache. Each entry carries the stamp of its seed and keeps it
+   across re-keys; at capacity the smallest stamp is evicted (Engine
+   state is one instance's worth of arrays, so the cap is a memory
+   bound, not a hot path). The critical section unlocks via
+   Fun.protect: a surprise exception out of the engine must cost one
+   reply, not wedge the table mutex — and with it every future
+   delta — forever. *)
 
 module Repair = struct
   module Engine = Ivc_incremental.Engine
 
+  type entry = { engine : Engine.t; stamp : int }
+
   type t = {
     mutex : Mutex.t;
     capacity : int;
-    table : (int64, Engine.t) Hashtbl.t;
-    fifo : int64 Queue.t;
+    table : (int64, entry) Hashtbl.t;
+    mutable seeds : int;  (* seeds so far; a seed's stamp is its count *)
     mutable evicted : int;  (* per-table, served in Stats *)
-    mutable compactions : int;
   }
 
   let create ~capacity =
@@ -158,112 +162,86 @@ module Repair = struct
       mutex = Mutex.create ();
       capacity = max 0 capacity;
       table = Hashtbl.create 16;
-      fifo = Queue.create ();
+      seeds = 0;
       evicted = 0;
-      compactions = 0;
     }
 
-  let size t =
+  let locked t f =
     Mutex.lock t.mutex;
-    let n = Hashtbl.length t.table in
-    Mutex.unlock t.mutex;
-    n
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  let counters t =
-    Mutex.lock t.mutex;
-    let r = (t.evicted, t.compactions) in
-    Mutex.unlock t.mutex;
-    r
+  let size t = locked t (fun () -> Hashtbl.length t.table)
+  let evicted t = locked t (fun () -> t.evicted)
 
-  let evict_to_capacity t =
-    while Hashtbl.length t.table >= t.capacity && not (Queue.is_empty t.fifo) do
-      let oldest = Queue.pop t.fifo in
-      if Hashtbl.mem t.table oldest then begin
-        Hashtbl.remove t.table oldest;
+  (* O(capacity), next to the O(n) Engine.create of the seed that makes
+     room for itself *)
+  let evict_oldest t =
+    let oldest =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with
+          | Some (_, stamp) when stamp <= e.stamp -> acc
+          | _ -> Some (k, e.stamp))
+        t.table None
+    in
+    Option.iter
+      (fun (k, _) ->
+        Hashtbl.remove t.table k;
         t.evicted <- t.evicted + 1;
-        Obs.Counter.incr c_repair_evicted
-      end
-    done
+        Obs.Counter.incr c_repair_evicted)
+      oldest
 
-  (* Every successful apply pushes the advanced key and strands the old
-     one in the queue, so under sustained delta traffic the queue grows
-     even when the table does not. Once it outgrows the live table by a
-     capacity's worth of slack, rebuild it keeping only live, first-seen
-     keys (order preserved, so eviction stays oldest-first). Each
-     compaction drops at least [capacity] nodes, so the cost is O(1)
-     amortized per apply and the queue is bounded by
-     [table + capacity + 1] nodes. *)
-  let compact_fifo t =
-    if Queue.length t.fifo > Hashtbl.length t.table + t.capacity then begin
-      let seen = Hashtbl.create (Hashtbl.length t.table) in
-      let live = Queue.create () in
-      Queue.iter
-        (fun k ->
-          if Hashtbl.mem t.table k && not (Hashtbl.mem seen k) then begin
-            Hashtbl.add seen k ();
-            Queue.push k live
-          end)
-        t.fifo;
-      Queue.clear t.fifo;
-      Queue.transfer live t.fifo;
-      t.compactions <- t.compactions + 1;
-      Obs.Counter.incr c_repair_compactions
-    end
-
-  (* Seed repair state for a freshly solved instance. Idempotent per
-     fingerprint; any exception out of [Engine.create] — concretely
-     [Cert.Rejected], a kernel bug surfacing during the engine's own
-     canonical solve — is swallowed: serving must not die because
-     repair state could not be built. *)
-  let seed t ~fp inst =
-    if t.capacity > 0 then begin
-      Mutex.lock t.mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.mutex)
-        (fun () ->
-          if not (Hashtbl.mem t.table fp) then
-            match Engine.create inst with
-            | engine ->
-                evict_to_capacity t;
-                Hashtbl.replace t.table fp engine;
-                Queue.push fp t.fifo;
-                Obs.Counter.incr c_repair_seeded
-            | exception _ -> ())
-    end
+  (* The engine at [fp], or one seeded from the instance [lookup] finds
+     under [fp]. A seed joins the table only once a delta applies to
+     it, so the table changes only where the journal does. Any
+     exception out of [Engine.create] — concretely [Cert.Rejected], a
+     kernel bug surfacing during the engine's own canonical solve —
+     reads as no state: serving must not die because repair state
+     could not be built. *)
+  let find_or_seed t ~lookup fp =
+    match Hashtbl.find_opt t.table fp with
+    | Some _ as held -> held
+    | None when t.capacity = 0 -> None
+    | None -> (
+        match Option.map Engine.create (lookup fp) with
+        | Some engine ->
+            Obs.Counter.incr c_repair_seeded;
+            t.seeds <- t.seeds + 1;
+            Some { engine; stamp = t.seeds }
+        | None | (exception _) -> None)
 
   (* Apply one delta to the engine at [fp], re-keying the entry to the
      advanced chain fingerprint. The whole step runs under the table
      lock so concurrent deltas against one engine serialize, and so does
      [capture]: whatever the reply needs of the repaired engine has to
      be taken before the next apply moves it on. *)
-  let apply t ~fp ?budget ~capture delta =
-    Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
-        match Hashtbl.find_opt t.table fp with
+  let apply t ~lookup ~fp ?budget ~capture delta =
+    locked t (fun () ->
+        match find_or_seed t ~lookup fp with
         | None -> `Unknown
-        | Some engine -> (
-            match Engine.apply ?budget engine delta with
+        | Some e -> (
+            match Engine.apply ?budget e.engine delta with
             | Ok outcome ->
                 let fp' = Ivc_incremental.Delta.chain_fp fp delta in
                 Hashtbl.remove t.table fp;
-                Hashtbl.replace t.table fp' engine;
-                Queue.push fp' t.fifo;
-                compact_fifo t;
-                `Applied (outcome, fp', capture engine)
-            | Error (Engine.Bad_delta _ as e) ->
-                (* engine untouched, entry stays *)
-                `Failed e
-            | Error (Engine.Cert_failed _ as e) ->
+                if
+                  (not (Hashtbl.mem t.table fp'))
+                  && Hashtbl.length t.table >= t.capacity
+                then evict_oldest t;
+                Hashtbl.replace t.table fp' e;
+                `Applied (outcome, fp', capture e.engine)
+            | Error (Engine.Bad_delta _ as err) ->
+                (* engine untouched, a held entry stays *)
+                `Failed err
+            | Error (Engine.Cert_failed _ as err) ->
                 (* untrusted state: drop the entry entirely *)
                 Hashtbl.remove t.table fp;
-                `Failed e
-            | exception e ->
+                `Failed err
+            | exception ex ->
                 (* the engine died mid-apply, its state is unknown:
                    drop the entry and report, rather than propagate *)
                 Hashtbl.remove t.table fp;
-                `Crashed (Printexc.to_string e)))
+                `Crashed (Printexc.to_string ex)))
 end
 
 (* [base] is the chain key of the coloring this connection's last
@@ -496,9 +474,6 @@ let run_solve srv inst (opts : Proto.solve_options) ~degraded fp token mailbox
                 provenance = Driver.provenance_to_string o.Driver.provenance;
                 proven_optimal = o.Driver.proven_optimal;
               };
-            (* seed repair state on the worker domain, where the O(n)
-               canonical solve it needs belongs *)
-            Repair.seed srv.repair ~fp inst;
             journal srv
               (Proto.encode_op
                  (Proto.Op_solved
@@ -571,9 +546,6 @@ let handle_solve srv inst (opts : Proto.solve_options) =
     in
     match cached with
     | Some e ->
-        (* re-seed dropped/evicted repair state so a cache hit restores
-           delta service for the instance too *)
-        Repair.seed srv.repair ~fp inst;
         Proto.Solution
           {
             Proto.starts = e.Cache.starts;
@@ -636,10 +608,11 @@ let handle_solve srv inst (opts : Proto.solve_options) =
 
 (* Answered inline on the connection thread: a repair is microseconds
    of work, so routing it through the solve queue would bury the very
-   latency the incremental engine exists to deliver. The reply's
-   fingerprint is the {e advanced} chain key the client must use for
-   the next delta, its provenance records whether the engine repaired
-   locally or fell back to a full sweep.
+   latency the incremental engine exists to deliver (a chain's first
+   delta also seeds its engine, one O(n) sweep like a fallback). The
+   reply's fingerprint is the {e advanced} chain key the client must
+   use for the next delta, its provenance records whether the engine
+   repaired locally or fell back to a full sweep.
 
    Once the connection holds the coloring at [fp] — its previous delta
    reply left it there — the reply is a [Patch] of the engine's
@@ -661,7 +634,10 @@ let handle_delta srv conn ~fp ?budget delta =
         `Patch (n, cells, Array.map (fun v -> starts.(v)) cells, Engine.digest engine)
     | _ -> `Full (Engine.starts engine)
   in
-  match Repair.apply srv.repair ~fp ?budget ~capture delta with
+  match
+    Repair.apply srv.repair ~lookup:(Cache.instance srv.cache) ~fp ?budget
+      ~capture delta
+  with
   | `Unknown ->
       Obs.Counter.incr c_delta_unknown;
       Proto.Error
@@ -669,8 +645,8 @@ let handle_delta srv conn ~fp ?budget delta =
           code = Proto.Unknown_fingerprint;
           message =
             Printf.sprintf
-              "no repair state at %Lx (not solved here, evicted, or the \
-               chain diverged); re-solve"
+              "no repair state at %Lx (not cached here, evicted, a spent \
+               chain key, or the chain diverged); re-solve"
               fp;
         }
   | `Failed (Ivc_incremental.Engine.Bad_delta m) ->
@@ -732,12 +708,14 @@ let apply_op ~cache ~repair op =
       | Ok mc when mc = maxcolor ->
           Cache.store cache ~fp ~inst
             { Cache.starts; maxcolor; lower_bound; provenance; proven_optimal };
-          Repair.seed repair ~fp inst;
           true
       | Ok _ | Error _ -> false
       | exception _ -> false)
   | Proto.Op_delta { fp; delta } -> (
-      match Repair.apply repair ~fp ~capture:ignore delta with
+      match
+        Repair.apply repair ~lookup:(Cache.instance cache) ~fp ~capture:ignore
+          delta
+      with
       | `Applied _ -> true
       | `Unknown | `Failed _ | `Crashed _ -> false)
 
@@ -929,13 +907,11 @@ let stats_json srv =
                      ("evictions", int (Cache.evicted srv.cache));
                    ] );
                ( "repair",
-                 let evicted, compactions = Repair.counters srv.repair in
                  Json.Obj
                    [
                      ("size", int (Repair.size srv.repair));
                      ("capacity", int srv.cfg.repair_capacity);
-                     ("evictions", int evicted);
-                     ("compactions", int compactions);
+                     ("evictions", int (Repair.evicted srv.repair));
                    ] );
                ( "replication",
                  let h = health srv in
@@ -1204,25 +1180,37 @@ let bind_listen = function
       in
       (fd, bound)
 
+(* Sleep [s] seconds in slices of at most 50 ms; [false] as soon as
+   the server is closing, so stop never waits out a whole period. *)
+let nap srv s =
+  let r = srv.repl in
+  let closing () =
+    Mutex.lock r.rm;
+    let c = r.closing in
+    Mutex.unlock r.rm;
+    c
+  in
+  let rec go remaining =
+    if closing () then false
+    else if remaining <= 0.0 then true
+    else begin
+      Thread.delay (Float.min 0.05 remaining);
+      go (remaining -. 0.05)
+    end
+  in
+  go s
+
 (* Heartbeat ticker: broadcasts the feed condvar on a period so
    parked replication streams wake up and send keep-alives even when
    the log is quiet. Cheap enough to always run. *)
 let ticker_loop srv =
   let r = srv.repl in
   let period = Float.max 0.05 (Float.min 1.0 (srv.cfg.lease_s /. 4.0)) in
-  let rec go () =
+  while nap srv period do
     Mutex.lock r.rm;
-    let closing = r.closing in
-    Mutex.unlock r.rm;
-    if not closing then begin
-      Thread.delay period;
-      Mutex.lock r.rm;
-      Condition.broadcast r.rcond;
-      Mutex.unlock r.rm;
-      go ()
-    end
-  in
-  go ()
+    Condition.broadcast r.rcond;
+    Mutex.unlock r.rm
+  done
 
 let scrub_dirs_of cfg =
   (match cfg.wal_dir with Some d -> [ d ] | None -> [])
@@ -1230,36 +1218,16 @@ let scrub_dirs_of cfg =
   @ cfg.scrub_dirs
 
 let scrub_loop srv =
-  let r = srv.repl in
   let dirs = scrub_dirs_of srv.cfg in
-  let rec nap remaining =
-    if remaining > 0.0 then begin
-      Mutex.lock r.rm;
-      let closing = r.closing in
-      Mutex.unlock r.rm;
-      if not closing then begin
-        Thread.delay (Float.min 0.2 remaining);
-        nap (remaining -. 0.2)
-      end
-    end
-  in
-  let rec go () =
-    nap srv.cfg.scrub_every_s;
-    Mutex.lock r.rm;
-    let closing = r.closing in
-    Mutex.unlock r.rm;
-    if not closing then begin
-      (match Scrub.run ~dirs () with
-      | report ->
-          srv.last_scrub_ns <- Some (Obs.now_ns ());
-          srv.quarantined_total <-
-            srv.quarantined_total + report.Scrub.quarantined;
-          Obs.Counter.incr c_scrub_passes
-      | exception _ -> ());
-      go ()
-    end
-  in
-  go ()
+  while nap srv srv.cfg.scrub_every_s do
+    match Scrub.run ~dirs () with
+    | report ->
+        srv.last_scrub_ns <- Some (Obs.now_ns ());
+        srv.quarantined_total <-
+          srv.quarantined_total + report.Scrub.quarantined;
+        Obs.Counter.incr c_scrub_passes
+    | exception _ -> ()
+  done
 
 let start cfg =
   if cfg.workers < 1 then invalid_arg "Server.start: need at least one worker";

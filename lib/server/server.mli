@@ -11,12 +11,14 @@
     (queue wait counts against the deadline, and an expired-in-queue
     request is shed, not solved) → response.
 
-    [Delta] requests bypass the queue entirely: they repair the
-    incremental engine seeded by a previous healthy solve of the same
-    instance (keyed by chain fingerprint, re-keyed on every applied
-    delta), answering in microseconds when the repair front stays
-    local. Unknown keys answer a typed [Unknown_fingerprint] and the
-    client falls back to a full [Solve].
+    [Delta] requests bypass the queue entirely: they repair an
+    incremental engine keyed by chain fingerprint and re-keyed on every
+    applied delta, answering in microseconds when the repair front
+    stays local. A chain starts at the fingerprint of any instance in
+    the solution cache: the first delta there seeds the engine from
+    the cached instance. Unknown keys answer a typed
+    [Unknown_fingerprint] and the client falls back to a full
+    [Solve].
 
     With [autosave_dir] set, in-flight solves checkpoint to
     [<dir>/<fingerprint>.snap] and a restarted server resumes a
@@ -36,7 +38,9 @@ type config = {
   addr : addr;
   workers : int;  (** solve worker domains *)
   queue_capacity : int;  (** admission backlog, see {!Taskpar.Service} *)
-  cache_capacity : int;  (** fingerprint-cache entries; 0 disables *)
+  cache_capacity : int;
+      (** fingerprint-cache entries; 0 disables the cache, and with it
+          deltas, whose chains start at cached instances *)
   max_vertices : int;  (** admission cap on instance size *)
   max_frame : int;  (** frame-body byte cap *)
   default_deadline_s : float;  (** for requests that set none *)
@@ -54,8 +58,10 @@ type config = {
       (** occupancy at which admitted solves run heuristics only *)
   brownout_budget : int;  (** exact-node cap under [Shrunk_budget] *)
   repair_capacity : int;
-      (** incremental repair-state entries served to [Delta] requests;
-          0 disables (every delta answers [Unknown_fingerprint]) *)
+      (** live delta chains: incremental repair engines, seeded from
+          the cache on a chain's first delta; at capacity the earliest
+          seeded is evicted. 0 disables (every delta answers
+          [Unknown_fingerprint]) *)
   standby : bool;
       (** boot as a warm standby: solves/deltas answer [Not_primary]
           until a [Promote] request or primary lease expiry; a

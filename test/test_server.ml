@@ -585,9 +585,12 @@ let test_e2e_delta_repair () =
   | Error e ->
       Alcotest.failf "resolved reply failed verification: %s"
         (Client.error_to_string e));
-  (* the spent key is gone: replaying the original delta chain head
+  (* a spent mid-chain key is gone: replaying the chain's first link
      must now miss — the chain advanced past it *)
-  match Client.delta c ~fp:(Snapshot.fingerprint small_inst) d with
+  let spent =
+    D.chain_fp (Snapshot.fingerprint small_inst) (D.Bump { v = 0; dw = 2 })
+  in
+  match Client.delta c ~fp:spent d with
   | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ }) -> ()
   | Ok _ -> Alcotest.fail "a spent chain key must answer unknown"
   | Error e -> Alcotest.failf "request failed: %s" (Client.error_to_string e)
@@ -692,10 +695,10 @@ let test_e2e_delta_unknown_and_bad () =
         (Client.error_to_string e)
 
 (* A long delta chain against a capacity-1 repair table: every apply
-   strands its predecessor key in the eviction FIFO, so this is the
-   workload that used to grow the queue one node per delta forever.
-   The chain must keep answering, and afterwards the stats must show a
-   table that never outgrew its capacity. *)
+   re-keys the table's one engine, which must neither evict itself nor
+   let the table outgrow its capacity. The chain must keep answering,
+   and afterwards the stats must show a table that never outgrew its
+   capacity. *)
 let test_e2e_delta_fifo_bounded () =
   with_server ~repair_capacity:1 @@ fun addr ->
   ignore (solve_ok addr ~opts:fast_opts small_inst);
@@ -1825,13 +1828,19 @@ let with_lost_delta_reply upstream f =
 (* delta_verified's probe branch: the first attempt's delta lands but
    its reply is lost, so the retry's Unknown_fingerprint is ambiguous.
    The empty-Batch probe at the advanced key must then answer, verified
-   against the mirror and keyed one link past the original delta. *)
+   against the mirror and keyed one link past the original delta. The
+   lost delta is the chain's second: a retry at the first key, the
+   instance fingerprint, re-seeds from the cache and answers directly. *)
 let test_e2e_delta_probe_after_lost_reply () =
   with_server @@ fun addr ->
   let s0 = solve_ok addr ~opts:fast_opts small_inst in
-  let fp = s0.Proto.fingerprint in
+  let d0 = D.Bump { v = 1; dw = 1 } in
+  (let c = connect addr in
+   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+   ignore (delta_ok c ~fp:s0.Proto.fingerprint d0));
+  let fp = D.chain_fp s0.Proto.fingerprint d0 in
   let d = D.Bump { v = 5; dw = 2 } in
-  let mirror = apply_mirror small_inst d in
+  let mirror = apply_mirror (apply_mirror small_inst d0) d in
   let retry =
     { Client.default_retry with Client.base_delay_s = 0.01; max_delay_s = 0.05 }
   in
@@ -1885,6 +1894,128 @@ let test_e2e_standby_lease_expiry () =
   | Proto.Primary -> Alcotest.fail "lease expiry must not flip the role");
   Server.note_primary_contact srv ~head:0;
   expect_refusal "fresh primary contact must re-arm the refusal"
+
+(* Send one delta at a chain's head key on a fresh connection to
+   [addr]: the reply must answer and verify against the mirror one link
+   on. *)
+let check_chain_head who addr (inst, fp) =
+  let d = D.Bump { v = 0; dw = 1 } in
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let s = delta_ok c ~fp d in
+  match Client.verify_delta ~expect_fp:(D.chain_fp fp d) (apply_mirror inst d) s with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s: chain head: %s" who (Client.error_to_string e)
+
+(* Replay equivalence for a chain that starts after a cache hit. The
+   primary journals a solve, a 50-delta chain, a cache-hit solve (which
+   journals nothing) and a second 50-delta chain from the instance key.
+   The standby must apply every op and reject none, and the second
+   chain's head must answer on the promoted standby and on a server
+   booted from the primary's WAL. *)
+let test_e2e_cache_hit_chain_replays () =
+  with_dirs [ "ivc-chain-p"; "ivc-chain-s" ] @@ fun dirs ->
+  let pdir = List.nth dirs 0 and sdir = List.nth dirs 1 in
+  with_sock "ivc_chain_p" @@ fun psock ->
+  with_sock "ivc_chain_s" @@ fun ssock ->
+  with_sock "ivc_chain_b" @@ fun bsock ->
+  let rejected = Ivc_obs.Counter.make "server.repl_ops_rejected" in
+  let rejected_before = Ivc_obs.Counter.value rejected in
+  let primary = Server.start (replication_cfg ~wal_dir:pdir psock) in
+  let standby =
+    Server.start
+      { (replication_cfg ~wal_dir:sdir ssock) with Server.standby = true; lease_s = 300.0 }
+  in
+  let repl =
+    Replica.start ~recv_timeout_s:2.0 standby ~upstream:(Server.Unix_sock psock)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Replica.stop repl;
+      Server.stop primary;
+      Server.stop standby)
+  @@ fun () ->
+  let paddr = Server.Unix_sock psock in
+  let chain ~cache_hit delta_of =
+    let s = solve_ok paddr ~opts:fast_opts small_inst in
+    Alcotest.(check bool) "solve hits the cache" cache_hit s.Proto.cache_hit;
+    let c = connect paddr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    List.fold_left
+      (fun (inst, fp) d ->
+        ignore (delta_ok c ~fp d);
+        (apply_mirror inst d, D.chain_fp fp d))
+      (small_inst, s.Proto.fingerprint)
+      (List.init 50 delta_of)
+  in
+  ignore (chain ~cache_hit:false (fun i -> D.Bump { v = (7 * i) mod 64; dw = 1 + (i mod 3) }));
+  let head2 =
+    chain ~cache_hit:true (fun i -> D.Bump { v = ((11 * i) + 3) mod 64; dw = 2 + (i mod 2) })
+  in
+  let head = Server.repl_head primary in
+  Alcotest.(check int) "one journaled solve and 100 deltas" 101 head;
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while Server.repl_applied standby < head && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Alcotest.(check int) "standby reached the primary's head" head
+    (Server.repl_applied standby);
+  Alcotest.(check int) "standby rejected no op" rejected_before
+    (Ivc_obs.Counter.value rejected);
+  ignore (Server.promote standby);
+  check_chain_head "promoted standby" (Server.Unix_sock ssock) head2;
+  Server.stop primary;
+  let booted = Server.start (replication_cfg ~wal_dir:pdir bsock) in
+  Fun.protect ~finally:(fun () -> Server.stop booted) @@ fun () ->
+  Alcotest.(check int) "boot replay rejected no op" rejected_before
+    (Ivc_obs.Counter.value rejected);
+  check_chain_head "server booted from the WAL" (Server.Unix_sock bsock) head2
+
+let stat_num json path =
+  match
+    List.fold_left
+      (fun j k -> Option.bind j (Ivc_obs.Json.member k))
+      (Some (Ivc_obs.Json.parse json))
+      path
+  with
+  | Some v -> int_of_float (Ivc_obs.Json.to_float v)
+  | None -> Alcotest.failf "stats lack %s" (String.concat "." path)
+
+(* Seed-stamp eviction: with four cache and four repair slots, six
+   distinct instances, each solved and sent one delta, must evict from
+   both tables and keep the repair table within capacity. The two
+   chains seeded first are the ones gone; the four newest still
+   answer. *)
+let test_e2e_repair_eviction () =
+  with_server ~cache_capacity:4 ~repair_capacity:4 @@ fun addr ->
+  let d = D.Bump { v = 0; dw = 1 } in
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let heads =
+    List.init 6 (fun i ->
+        let inst = Util.random_inst2 ~seed:(100 + i) ~x:8 ~y:8 ~bound:4 in
+        let s = solve_ok addr ~opts:fast_opts inst in
+        ignore (delta_ok c ~fp:s.Proto.fingerprint d);
+        (apply_mirror inst d, D.chain_fp s.Proto.fingerprint d))
+  in
+  (match Client.stats c with
+  | Error e -> Alcotest.failf "stats failed: %s" (Client.error_to_string e)
+  | Ok json ->
+      let stat path = stat_num json ("server" :: path) in
+      Alcotest.(check bool) "the cache evicted" true (stat [ "cache"; "evictions" ] > 0);
+      Alcotest.(check bool) "the repair table evicted" true
+        (stat [ "repair"; "evictions" ] > 0);
+      Alcotest.(check bool) "the repair table stayed within capacity" true
+        (stat [ "repair"; "size" ] <= 4));
+  List.iteri
+    (fun i (inst, fp) ->
+      if i < 2 then
+        match Client.delta c ~fp d with
+        | Ok (Proto.Error { code = Proto.Unknown_fingerprint; _ }) -> ()
+        | Ok _ -> Alcotest.failf "chain %d was seeded early and must be evicted" i
+        | Error e -> Alcotest.failf "request failed: %s" (Client.error_to_string e)
+      else check_chain_head (Printf.sprintf "chain %d" i) addr (inst, fp))
+    heads
 
 let suite =
   [
@@ -1973,4 +2104,8 @@ let suite =
       test_e2e_standby_lease_expiry;
     Alcotest.test_case "e2e: a lost delta reply is recovered by the probe"
       `Quick test_e2e_delta_probe_after_lost_reply;
+    Alcotest.test_case "e2e: a chain after a cache hit replays everywhere"
+      `Quick test_e2e_cache_hit_chain_replays;
+    Alcotest.test_case "e2e: repair eviction drops the earliest seed" `Quick
+      test_e2e_repair_eviction;
   ]
