@@ -401,7 +401,8 @@ let exact_cmd =
   let time_t =
     Arg.(
       value & opt float 30.0
-      & info [ "time-limit" ] ~docv:"S" ~doc:"CPU time limit in seconds.")
+      & info [ "time-limit" ] ~docv:"S"
+          ~doc:"Wall-clock time limit in seconds, on the monotonic clock.")
   in
   let portfolio_t =
     Arg.(

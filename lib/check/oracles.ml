@@ -419,37 +419,179 @@ let portfolio =
 
 (* ---- crash-resume ------------------------------------------------------------- *)
 
-(* Kill the exact solver at a fault-plan-chosen checkpoint boundary,
+(* Kill an exact solver at a fault-plan-chosen checkpoint boundary,
    resume from the snapshot on disk, repeat while the plan keeps
    killing, and require the survivor to reach the same certified
    result as an uninterrupted run with the same cumulative budget.
    [Autosave.on_save] fires after the atomic install completes, so
    raising from it is exactly a kill -9 at a checkpoint boundary: the
    snapshot the next attempt loads is the one written the instant of
-   death. *)
+   death. Both engines are checked, order-BB and the CP bracket. *)
 module Snapshot = Ivc_persist.Snapshot
 module Faults = Ivc_resilient.Faults
 
 exception Killed
 
+(* Node budget of each CP probe. A bracket takes about log2(ub - lb)
+   probes, so a solve stays near order-BB's [exact_budget], and the
+   uninterrupted baseline plus every resumed attempt stay cheap. *)
+let crash_cp_budget = 5_000
+
+(* One engine through the kill loop. Attempt [a] is killed when the
+   plan crashes task [task0 + a], at a save ordinal drawn from [r];
+   after [max_kills] eligible attempts the plan stops killing, so the
+   loop terminates deterministically. Every attempt checkpoints at every
+   save point, the one the plan spares too, so the survivor is a solve
+   with checkpoints on held to the uninterrupted run without them.
+   Every reloaded checkpoint is checked by [loosened prev c], which
+   names what [c] gave up against the one before; returns the
+   survivor's result and the last checkpoint. *)
+let kill_resume ~plan ~r ~task0 ~path ~solve ~decode ~loosened =
+  let max_kills = 8 in
+  let rec attempt a prev resume =
+    let kill_at =
+      if
+        a < max_kills
+        && Faults.decide plan ~task:(task0 + a) ~attempt:0 = Some Faults.Crash
+      then Some (1 + Gen.int r 32)
+      else None
+    in
+    let on_save s =
+      match kill_at with Some k when s >= k -> raise Killed | _ -> ()
+    in
+    let autosave = Ivc_persist.Autosave.make ~every_s:0.0 ~on_save path in
+    match solve ?autosave:(Some autosave) ?resume () with
+    | result -> Ok (result, prev)
+    | exception Killed -> (
+        match Snapshot.load path with
+        | Error e ->
+            Error
+              ("snapshot unreadable after kill: " ^ Snapshot.error_to_string e)
+        | Ok snap -> (
+            match decode snap with
+            | Error e ->
+                Error
+                  ("snapshot rejected after kill: "
+                  ^ Snapshot.error_to_string e)
+            | Ok c -> (
+                match Option.bind prev (fun p -> loosened p c) with
+                | Some m -> Error m
+                | None -> attempt (a + 1) (Some c) (Some c))))
+  in
+  attempt 0 None None
+
+let crash_resume_order_bb inst ~plan ~r ~path =
+  let module B = Ivc_exact.Order_bb in
+  let solve ?autosave ?resume () =
+    B.solve ~node_budget:exact_budget ?autosave ?resume inst
+  in
+  let baseline = solve () in
+  (* monotonicity of what's on disk: later checkpoints never loosen the
+     incumbent or the proven lower bound *)
+  let loosened (p : B.checkpoint) (c : B.checkpoint) =
+    if c.B.best > p.B.best || c.B.lb < p.B.lb then
+      Some
+        (Printf.sprintf "checkpoint loosened: best %d -> %d, lb %d -> %d"
+           p.B.best c.B.best p.B.lb c.B.lb)
+    else None
+  in
+  match
+    kill_resume ~plan ~r ~task0:0 ~path ~solve
+      ~decode:(B.decode_checkpoint ~inst) ~loosened
+  with
+  | Error m -> O.Fail m
+  | Ok (status, last) ->
+      let ub = B.upper_bound_of status
+      and lb = B.lower_bound_of status
+      and starts = B.starts_of status in
+      O.all_of
+        [
+          (fun () -> certify inst ~who:"resumed exact" starts);
+          (fun () ->
+            O.check
+              (ub = B.upper_bound_of baseline)
+              "resumed upper bound %d <> uninterrupted %d" ub
+              (B.upper_bound_of baseline));
+          (fun () ->
+            O.check
+              (lb = B.lower_bound_of baseline)
+              "resumed lower bound %d <> uninterrupted %d" lb
+              (B.lower_bound_of baseline));
+          (fun () ->
+            O.check
+              (B.is_optimal status = B.is_optimal baseline)
+              "resumed optimality %b <> uninterrupted %b" (B.is_optimal status)
+              (B.is_optimal baseline));
+          (fun () ->
+            match last with
+            | Some (c : B.checkpoint) ->
+                O.check
+                  (ub <= c.B.best && lb >= c.B.lb)
+                  "final bounds (%d, %d) worse than last pre-kill checkpoint \
+                   (%d, %d)"
+                  lb ub c.B.lb c.B.best
+            | None -> O.Pass);
+        ]
+
+let crash_resume_cp inst ~plan ~r ~path =
+  let module C = Ivc_exact.Cp in
+  let solve ?autosave ?resume () =
+    C.optimize ~budget:crash_cp_budget ?autosave ?resume inst
+  in
+  let baseline = solve () in
+  (* the bracket on disk only ever narrows *)
+  let loosened (p : C.checkpoint) (c : C.checkpoint) =
+    if c.C.lo < p.C.lo || c.C.hi > p.C.hi then
+      Some
+        (Printf.sprintf "cp bracket loosened: [%d, %d] -> [%d, %d]" p.C.lo
+           p.C.hi c.C.lo c.C.hi)
+    else None
+  in
+  (* tasks from 100 on: CP's kills are drawn apart from order-BB's *)
+  match
+    kill_resume ~plan ~r ~task0:100 ~path ~solve
+      ~decode:(C.decode_checkpoint ~inst) ~loosened
+  with
+  | Error m -> O.Fail m
+  | Ok (result, last) ->
+      let show = function
+        | Some (opt, _) -> string_of_int opt
+        | None -> "none"
+      in
+      O.all_of
+        [
+          (fun () ->
+            match result with
+            | Some (_, starts) -> certify inst ~who:"resumed cp" starts
+            | None -> O.Pass);
+          (fun () ->
+            O.check (result = baseline)
+              "resumed cp optimum %s <> uninterrupted %s (or a different \
+               witness)"
+              (show result) (show baseline));
+          (fun () ->
+            match (result, last) with
+            | Some (opt, _), Some (c : C.checkpoint) ->
+                O.check
+                  (c.C.lo <= opt && opt <= c.C.hi)
+                  "cp optimum %d outside the last pre-kill bracket [%d, %d]" opt
+                  c.C.lo c.C.hi
+            | _ -> O.Pass);
+        ]
+
 let crash_resume =
   {
     O.name = "crash-resume";
     description =
-      "exact solve killed at fault-plan-chosen checkpoint boundaries \
-       resumes from the snapshot to the same certified result as an \
-       uninterrupted run";
+      "exact solves (order-BB and CP) killed at fault-plan-chosen \
+       checkpoint boundaries resume from the snapshot to the same \
+       certified result as an uninterrupted run";
     applies =
       (fun inst ->
         let n = S.n_vertices inst in
         n > 0 && n <= exact_max_n);
     run =
       (fun inst ->
-        let solve ?autosave ?resume () =
-          Ivc_exact.Order_bb.solve ~node_budget:exact_budget ?autosave
-            ?resume inst
-        in
-        let baseline = solve () in
         let path = Filename.temp_file "ivc-crash" ".snap" in
         let cleanup () =
           List.iter
@@ -459,97 +601,14 @@ let crash_resume =
         Fun.protect ~finally:cleanup @@ fun () ->
         let h = Gen.hash inst in
         let plan = Faults.parse (Printf.sprintf "seed=%d,crash=0.6" h) in
-        let r = Gen.rng ~seed:h ~stream:17 in
-        (* After [max_kills] eligible attempts the plan stops killing,
-           so the oracle terminates deterministically. *)
-        let max_kills = 8 in
-        let prev = ref None in
-        (* monotonicity of what's on disk: later checkpoints never
-           loosen the incumbent or the proven lower bound *)
-        let check_monotone (c : Ivc_exact.Order_bb.checkpoint) =
-          match !prev with
-          | Some (pb, pl)
-            when c.Ivc_exact.Order_bb.best > pb
-                 || c.Ivc_exact.Order_bb.lb < pl ->
-              O.failf
-                "checkpoint loosened: best %d -> %d, lb %d -> %d"
-                pb c.Ivc_exact.Order_bb.best pl c.Ivc_exact.Order_bb.lb
-          | _ ->
-              prev :=
-                Some (c.Ivc_exact.Order_bb.best, c.Ivc_exact.Order_bb.lb);
-              O.Pass
-        in
-        let rec attempt a resume =
-          let kill_at =
-            if
-              a < max_kills
-              && Faults.decide plan ~task:a ~attempt:0 = Some Faults.Crash
-            then Some (1 + Gen.int r 32)
-            else None
-          in
-          let on_save s =
-            match kill_at with
-            | Some k when s >= k -> raise Killed
-            | _ -> ()
-          in
-          let autosave =
-            Ivc_persist.Autosave.make ~every_s:0.0 ~on_save path
-          in
-          match solve ~autosave ?resume () with
-          | status -> Ok (a, status)
-          | exception Killed -> (
-              match Snapshot.load path with
-              | Error e ->
-                  Error
-                    ("snapshot unreadable after kill: "
-                    ^ Snapshot.error_to_string e)
-              | Ok snap -> (
-                  match
-                    Ivc_exact.Order_bb.decode_checkpoint ~inst snap
-                  with
-                  | Error e ->
-                      Error
-                        ("snapshot rejected after kill: "
-                        ^ Snapshot.error_to_string e)
-                  | Ok c -> (
-                      match check_monotone c with
-                      | O.Fail m -> Error m
-                      | O.Pass -> attempt (a + 1) (Some c))))
-        in
-        match attempt 0 None with
-        | Error m -> O.Fail m
-        | Ok (_, status) ->
-            let module B = Ivc_exact.Order_bb in
-            let ub = B.upper_bound_of status
-            and lb = B.lower_bound_of status
-            and starts = B.starts_of status in
-            O.all_of
-              [
-                (fun () -> certify inst ~who:"resumed exact" starts);
-                (fun () ->
-                  O.check
-                    (ub = B.upper_bound_of baseline)
-                    "resumed upper bound %d <> uninterrupted %d" ub
-                    (B.upper_bound_of baseline));
-                (fun () ->
-                  O.check
-                    (lb = B.lower_bound_of baseline)
-                    "resumed lower bound %d <> uninterrupted %d" lb
-                    (B.lower_bound_of baseline));
-                (fun () ->
-                  O.check
-                    (B.is_optimal status = B.is_optimal baseline)
-                    "resumed optimality %b <> uninterrupted %b"
-                    (B.is_optimal status) (B.is_optimal baseline));
-                (fun () ->
-                  match !prev with
-                  | Some (pb, pl) ->
-                      O.check (ub <= pb && lb >= pl)
-                        "final bounds (%d, %d) worse than last pre-kill \
-                         checkpoint (%d, %d)"
-                        lb ub pl pb
-                  | None -> O.Pass);
-              ]);
+        O.all_of
+          [
+            (fun () ->
+              crash_resume_order_bb inst ~plan
+                ~r:(Gen.rng ~seed:h ~stream:17) ~path);
+            (fun () ->
+              crash_resume_cp inst ~plan ~r:(Gen.rng ~seed:h ~stream:18) ~path);
+          ]);
   }
 
 (* ---- chaos --------------------------------------------------------------------- *)

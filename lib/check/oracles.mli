@@ -32,12 +32,13 @@ val bound_monotone : Oracle.t
 val metamorphic : Oracle.t
 val portfolio : Oracle.t
 
-(** Kill-resume verification: the exact solver is killed at
-    fault-plan-chosen checkpoint boundaries (simulated kill -9 — the
-    raise happens right after the snapshot's atomic install), resumed
-    from the on-disk snapshot, and must reach the same certified
-    bounds as an uninterrupted run with the same cumulative budget;
-    checkpoints on disk must never loosen across kills. *)
+(** Kill-resume verification: each exact engine (order-BB, and the CP
+    bracket with its in-flight probe) is killed at fault-plan-chosen
+    checkpoint boundaries (simulated kill -9 — the raise happens right
+    after the snapshot's atomic install), resumed from the on-disk
+    snapshot, and must reach the same certified result as an
+    uninterrupted run with the same cumulative budget; checkpoints on
+    disk must never loosen across kills. *)
 val crash_resume : Oracle.t
 
 (** Chaos serving: the instance is solved through a seeded

@@ -35,3 +35,9 @@ let run_all inst =
       let starts = a.run inst in
       (a.name, starts, Coloring.maxcolor ~w:(inst : Ivc_grid.Stencil.t).w starts))
     all
+
+let best inst =
+  List.fold_left
+    (fun (b, bs) (_, starts, mc) -> if mc < b then (mc, starts) else (b, bs))
+    (max_int, [||])
+    (run_all inst)

@@ -20,3 +20,7 @@ val names : string list
 (** [run_all inst] runs every algorithm and returns
     [(name, starts, maxcolor)] triples. *)
 val run_all : Ivc_grid.Stencil.t -> (string * int array * int) list
+
+(** [best inst] is [(maxcolor, starts)] of the first algorithm of {!all}
+    with the smallest maxcolor: the warm start of the exact engines. *)
+val best : Ivc_grid.Stencil.t -> int * int array

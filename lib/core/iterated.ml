@@ -170,13 +170,6 @@ let run ?(max_rounds = 10) ?(cancel = fun () -> false) ?autosave ?resume inst
   !best
 
 let best_effort ?max_rounds ?cancel inst =
-  let w = (inst : Stencil.t).w in
-  let _, starts, _ =
-    List.fold_left
-      (fun (bn, bs, bmc) (n, s, mc) ->
-        if mc < bmc then (n, s, mc) else (bn, bs, bmc))
-      ("", [||], max_int)
-      (Algo.run_all inst)
-  in
-  ignore w;
-  run ?max_rounds ?cancel inst starts ~passes:[ Reverse; Cliques; Restart ]
+  run ?max_rounds ?cancel inst
+    (snd (Algo.best inst))
+    ~passes:[ Reverse; Cliques; Restart ]

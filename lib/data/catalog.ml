@@ -19,9 +19,14 @@ let allowed_dims ~size ~bw =
   let ps = powers 2 [] in
   if List.mem maxd ps then ps else ps @ [ maxd ]
 
+(* Keep one entry in [sub], in enumeration order, then grid only the
+   kept ones: each entry is enumerated as a thunk. *)
 let subsampled sub entries =
-  if sub <= 1 then entries
-  else List.filteri (fun i _ -> i mod sub = 0) entries
+  let kept =
+    if sub <= 1 then entries
+    else List.filteri (fun i _ -> i mod sub = 0) entries
+  in
+  List.map (fun entry -> entry ()) kept
 
 let entries_2d ?(scale = 1.0) ?(subsample = 1) () =
   let clouds = Datasets.all ~scale () in
@@ -41,14 +46,14 @@ let entries_2d ?(scale = 1.0) ?(subsample = 1) () =
                 (fun x ->
                   List.iter
                     (fun y ->
-                      let inst = Gridding.grid2 cloud plane ~x ~y in
                       acc :=
-                        {
-                          dataset = cloud.Points.name;
-                          plane = Project.plane_name plane;
-                          bandwidth = frac;
-                          inst;
-                        }
+                        (fun () ->
+                          {
+                            dataset = cloud.Points.name;
+                            plane = Project.plane_name plane;
+                            bandwidth = frac;
+                            inst = Gridding.grid2 cloud plane ~x ~y;
+                          })
                         :: !acc)
                     ys)
                 xs)
@@ -80,14 +85,14 @@ let entries_3d ?(scale = 1.0) ?(subsample = 1) () =
                 (fun y ->
                   List.iter
                     (fun z ->
-                      let inst = Gridding.grid3 cloud ~x ~y ~z in
                       acc :=
-                        {
-                          dataset = cloud.Points.name;
-                          plane = "xyz";
-                          bandwidth = frac;
-                          inst;
-                        }
+                        (fun () ->
+                          {
+                            dataset = cloud.Points.name;
+                            plane = "xyz";
+                            bandwidth = frac;
+                            inst = Gridding.grid3 cloud ~x ~y ~z;
+                          })
                         :: !acc)
                     zs)
                 ys)

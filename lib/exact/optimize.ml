@@ -27,14 +27,8 @@ let plan_resume ~inst snap =
       (Snapshot.Wrong_kind
          { expected = Order_bb.kind ^ "|" ^ Cp.kind; got = snap.kind })
 
-let best_heuristic inst =
-  List.fold_left
-    (fun (b, bs) (_, starts, mc) -> if mc < b then (mc, starts) else (b, bs))
-    (max_int, [||])
-    (Ivc.Algo.run_all inst)
-
 let solve ?(budget = 200_000) ?time_limit_s ?(cancel = fun () -> false)
-    ?autosave ?resume inst =
+    ?autosave ?resume ?warm inst =
   Ivc_obs.Span.record ~cat:"exact"
     ~args:
       [
@@ -42,16 +36,16 @@ let solve ?(budget = 200_000) ?time_limit_s ?(cancel = fun () -> false)
       ]
     "exact.solve"
   @@ fun () ->
-  let t0 = Sys.time () in
+  let t0 = Ivc_obs.now_ns () in
   let remaining () =
     match time_limit_s with
     | None -> None
-    | Some s -> Some (Float.max 0.01 (s -. (Sys.time () -. t0)))
+    | Some s -> Some (Float.max 0.01 (s -. Ivc_obs.elapsed_s ~since:t0))
   in
-  let order_bb ?resume ~resumed () =
+  let order_bb ?resume ?warm ~resumed () =
     match
       Order_bb.solve ~node_budget:budget ?time_limit_s:(remaining ()) ~cancel
-        ?autosave ?resume inst
+        ?autosave ?resume ?warm inst
     with
     | Order_bb.Optimal (v, s) ->
         {
@@ -72,12 +66,12 @@ let solve ?(budget = 200_000) ?time_limit_s ?(cancel = fun () -> false)
           resumed;
         }
   in
-  let cp ?resume ~resumed ~lb ~fallback () =
+  let cp ?resume ?warm ~resumed ~lb ~fallback () =
     (* give CP half the remaining time, keep the rest for order-BB *)
     let cp_limit = Option.map (fun s -> s /. 2.0) (remaining ()) in
     match
       Cp.optimize ~budget:(budget * 10) ?time_limit_s:cp_limit ~cancel
-        ?autosave ?resume inst
+        ?autosave ?resume ?warm inst
     with
     | Some (opt, starts) ->
         {
@@ -100,7 +94,9 @@ let solve ?(budget = 200_000) ?time_limit_s ?(cancel = fun () -> false)
         ()
   | None ->
       let lb = Ivc.Bounds.combined inst in
-      let ub, ub_starts = best_heuristic inst in
+      let ((ub, ub_starts) as warm) =
+        match warm with Some w -> w | None -> Ivc.Algo.best inst
+      in
       if ub <= lb then
         {
           lower_bound = ub;
@@ -120,8 +116,9 @@ let solve ?(budget = 200_000) ?time_limit_s ?(cancel = fun () -> false)
             (inst : Stencil.t).w
         in
         let cp_ok = ub <= 256 && nonzero * (ub + 1) <= 500_000 in
-        if cp_ok then cp ~resumed:false ~lb ~fallback:(order_bb ~resumed:false) ()
-        else order_bb ~resumed:false ()
+        let order_bb = order_bb ~warm ~resumed:false in
+        if cp_ok then cp ~warm ~resumed:false ~lb ~fallback:order_bb ()
+        else order_bb ()
       end
 
 let optimal_value ?budget ?time_limit_s ?cancel inst =

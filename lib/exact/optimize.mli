@@ -34,11 +34,18 @@ val plan_resume :
     Fails closed with a typed error on any mismatch; callers fall back
     to a fresh solve and report the reason. *)
 
-(** [solve ?budget ?time_limit_s ?cancel ?autosave ?resume inst] with
-    [budget] roughly proportional to search nodes (default 200_000) and
-    [time_limit_s] bounding the CPU seconds spent. [cancel] is polled
-    cooperatively inside both engines; when it fires the best incumbent
-    found so far is returned with [proven_optimal = false].
+(** [solve ?budget ?time_limit_s ?cancel ?autosave ?resume ?warm inst]
+    with [budget] roughly proportional to search nodes (default
+    200_000) and [time_limit_s] bounding the wall-clock seconds spent,
+    on the monotonic clock. [cancel] is polled cooperatively inside
+    both engines; when it fires the best incumbent found so far is
+    returned with [proven_optimal = false].
+
+    [warm] is the best heuristic coloring [(maxcolor, starts)] when
+    the caller already ran the heuristics: both engines start from it
+    instead of running {!Ivc.Algo.best} again. It must be a valid
+    coloring of [inst]; passing {!Ivc.Algo.best}'s pick leaves the
+    search unchanged.
 
     [autosave] is handed to whichever engine runs; [resume] continues a
     solve from a plan produced by {!plan_resume} (node budgets are
@@ -49,6 +56,7 @@ val solve :
   ?cancel:(unit -> bool) ->
   ?autosave:Ivc_persist.Autosave.t ->
   ?resume:resume_plan ->
+  ?warm:int * int array ->
   Ivc_grid.Stencil.t ->
   outcome
 

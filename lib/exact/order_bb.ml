@@ -105,12 +105,6 @@ let shuffle seed a =
     a.(j) <- t
   done
 
-let best_heuristic inst =
-  List.fold_left
-    (fun (b, bs) (_, starts, mc) -> if mc < b then (mc, starts) else (b, bs))
-    (max_int, [||])
-    (Ivc.Algo.run_all inst)
-
 let randomized_ub inst restarts (ub, ub_starts) =
   let n = Stencil.n_vertices inst in
   let w = (inst : Stencil.t).w in
@@ -130,9 +124,13 @@ let randomized_ub inst restarts (ub, ub_starts) =
 exception Out_of_budget
 
 let solve ?(node_budget = 200_000) ?(restarts = 8) ?time_limit_s
-    ?(cancel = fun () -> false) ?autosave ?resume inst =
-  let deadline =
-    match time_limit_s with None -> infinity | Some s -> Sys.time () +. s
+    ?(cancel = fun () -> false) ?autosave ?resume ?warm inst =
+  let past_deadline =
+    match time_limit_s with
+    | None -> fun () -> false
+    | Some s ->
+        let t0 = Ivc_obs.now_ns () in
+        fun () -> Ivc_obs.elapsed_s ~since:t0 > s
   in
   let n = Stencil.n_vertices inst in
   let w = (inst : Stencil.t).w in
@@ -147,14 +145,20 @@ let solve ?(node_budget = 200_000) ?(restarts = 8) ?time_limit_s
   let ub, ub_starts =
     match resume with
     | Some c -> (c.best, Array.copy c.best_starts)
-    | None -> randomized_ub inst restarts (best_heuristic inst)
+    | None ->
+        randomized_ub inst restarts
+          (match warm with Some w -> w | None -> Ivc.Algo.best inst)
   in
   if ub <= lb then Optimal (ub, ub_starts)
   else begin
     let best = ref ub and best_starts = ref ub_starts in
     let starts = Array.make n (-1) in
     let colored = ref 0 in
-    let nodes = ref (match resume with Some c -> c.nodes | None -> 0) in
+    (* A saved count includes the node being entered, which the resume
+       enters again; a frontier-less checkpoint counts nothing yet. *)
+    let nodes =
+      ref (match resume with Some c -> max 0 (c.nodes - 1) | None -> 0)
+    in
     (* Zero-weight vertices never conflict: fix them at 0 up front. *)
     let branch_vertices = ref [] in
     for v = n - 1 downto 0 do
@@ -230,7 +234,7 @@ let solve ?(node_budget = 200_000) ?(restarts = 8) ?time_limit_s
         incr nodes;
         cur_depth := depth;
         if !nodes > node_budget then raise Out_of_budget;
-        if !nodes land 1023 = 0 && (Sys.time () > deadline || cancel ()) then
+        if !nodes land 1023 = 0 && (past_deadline () || cancel ()) then
           raise Out_of_budget;
         (match autosave with
         | Some a when !nodes land 15 = 0 ->

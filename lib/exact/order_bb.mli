@@ -32,7 +32,10 @@ type checkpoint = {
   lb : int;
   best : int;  (** incumbent maxcolor *)
   best_starts : int array;
-  nodes : int;  (** nodes already spent; budgets are cumulative *)
+  nodes : int;
+      (** nodes already spent, the node being entered when the checkpoint
+          was written included; a resume enters that node again without
+          counting it twice, so budgets are cumulative *)
   path : int array;  (** DFS frontier: branch cursor per depth *)
 }
 
@@ -60,10 +63,14 @@ val checkpoint_of_incumbent :
     hand a bracket from another engine to this one. *)
 
 (** [solve ?node_budget ?restarts ?time_limit_s ?cancel ?autosave
-    ?resume inst]. [node_budget] caps branch-and-bound nodes (default
-    200_000); [restarts] adds randomized greedy restarts to tighten the
-    initial upper bound (default 8); [time_limit_s] aborts the search
-    after that much CPU time (the paper's one-day-timeout analogue).
+    ?resume ?warm inst]. [node_budget] caps branch-and-bound nodes
+    (default 200_000); [restarts] adds randomized greedy restarts to
+    tighten the initial upper bound (default 8); [time_limit_s] aborts
+    the search after that many wall-clock seconds on the monotonic
+    clock (the paper's one-day-timeout analogue); [warm] is the best
+    heuristic coloring [(maxcolor, starts)] when the caller already
+    ran the heuristics, which the restarts then improve on instead of
+    a fresh {!Ivc.Algo.best}.
     [cancel] is a cooperative cancellation poll (e.g. a deadline token
     from [Ivc_resilient.Deadline]): it is checked every 1024
     branch-and-bound nodes, and a [true] return aborts the search,
@@ -73,7 +80,8 @@ val checkpoint_of_incumbent :
     nodes (subject to the token's cadence). [resume] restores a
     checkpoint previously decoded with {!decode_checkpoint}: the
     initial heuristic and randomized restarts are skipped in favor of
-    the snapshot's incumbent. *)
+    the snapshot's incumbent. The search undoes each move in place,
+    so its memory is O(n) plus the incumbent copies. *)
 val solve :
   ?node_budget:int ->
   ?restarts:int ->
@@ -81,6 +89,7 @@ val solve :
   ?cancel:(unit -> bool) ->
   ?autosave:Ivc_persist.Autosave.t ->
   ?resume:checkpoint ->
+  ?warm:int * int array ->
   Ivc_grid.Stencil.t ->
   status
 

@@ -260,16 +260,25 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
         (Ivc_kernel.Ff.color_in_order inst (Stencil.row_major_order inst)));
   (* Stage 1 — the heuristic portfolio, cheapest quality upgrades.
      Skipped on resume: the killed run already folded these candidates
-     into the incumbent the snapshot carries. *)
+     into the incumbent the snapshot carries. When it runs to the end,
+     its incumbent is [Algo.best]'s pick (the fallback is GLL's
+     coloring), which the exact engines would otherwise recompute, so
+     it becomes their warm start. *)
+  let warm = ref None in
   if resume = None && not (cancel ()) then
     Ivc_obs.Span.record ~cat:"resilient" "resilient.stage_heuristics"
       (fun () ->
+        let complete = ref true in
         List.iter
           (fun (a : Ivc.Algo.t) ->
-            if a.Ivc.Algo.name <> "GLL" && not (cancel ()) then
-              consider ~provenance:(Heuristic a.Ivc.Algo.name)
-                (a.Ivc.Algo.run inst))
-          Ivc.Algo.all);
+            if a.Ivc.Algo.name <> "GLL" then
+              if cancel () then complete := false
+              else
+                consider ~provenance:(Heuristic a.Ivc.Algo.name)
+                  (a.Ivc.Algo.run inst))
+          Ivc.Algo.all;
+        if !complete then
+          warm := Option.map (fun (starts, mc, _, _) -> (mc, starts)) !best);
   tick_seed ();
   (* Stage 1.5 — iterated-greedy improvement of the incumbent. Skipped
      when resuming into the exact stage (the killed run had finished
@@ -309,7 +318,7 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
     let o =
       Ivc_exact.Optimize.solve ~budget
         ?time_limit_s:(Deadline.remaining_s token)
-        ~cancel ?autosave ?resume:exact_resume inst
+        ~cancel ?autosave ?resume:exact_resume ?warm:!warm inst
     in
     lb := max !lb o.Ivc_exact.Optimize.lower_bound;
     let wrap p = if exact_resume <> None then Resumed p else p in

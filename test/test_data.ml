@@ -128,10 +128,19 @@ let test_catalog () =
       | Ivc_grid.Stencil.D3 (x, y, z) ->
           Alcotest.(check bool) "3D dims >= 2" true (x >= 2 && y >= 2 && z >= 2))
     (e2 @ e3);
-  (* subsampling *)
+  (* subsampling keeps every 10th entry, in order *)
+  let fingerprints =
+    List.map (fun e -> Ivc_persist.Snapshot.fingerprint e.Cat.inst)
+  in
+  let every_10th = List.filteri (fun i _ -> i mod 10 = 0) in
   let sub = Cat.entries_2d ~scale:0.02 ~subsample:10 () in
   Alcotest.(check bool) "subsample shrinks" true
     (List.length sub <= (List.length e2 / 10) + 1);
+  Alcotest.(check (list int64)) "2D subsample is every 10th entry"
+    (fingerprints (every_10th e2)) (fingerprints sub);
+  Alcotest.(check (list int64)) "3D subsample is every 10th entry"
+    (fingerprints (every_10th e3))
+    (fingerprints (Cat.entries_3d ~scale:0.02 ~subsample:10 ()));
   (* describe produces something useful *)
   match e2 with
   | e :: _ -> Alcotest.(check bool) "describe" true (String.length (Cat.describe e) > 10)

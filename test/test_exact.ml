@@ -121,6 +121,159 @@ let prop_exact_below_heuristics =
       | Some (opt, _) ->
           List.for_all (fun (_, _, mc) -> opt <= mc) (Ivc.Algo.run_all inst))
 
+(* The decision search, pinned: (k, verdict, nodes, revisions) of
+   [Cp.decide ~budget:2_000] at every k from lb - 1 to ub (combined
+   lower bound, best heuristic) on seeded instances, recorded with the
+   copying engine the trailed one replaced. MRV order, value order and
+   the FIFO propagation order all show in these counts. *)
+let cp_golden =
+  [
+    ( "small2", Ivc_check.Gen.small2, 1,
+      [ (41, 'U', 2001, 598660); (42, 'C', 25, 1485); (43, 'C', 26, 1665);
+        (44, 'C', 27, 1928); (45, 'C', 22, 823) ] );
+    ( "small2", Ivc_check.Gen.small2, 10,
+      [ (40, 'N', 5, 1559); (41, 'C', 27, 1231); (42, 'C', 29, 1355);
+        (43, 'C', 30, 1292); (44, 'C', 31, 1399); (45, 'C', 32, 1438);
+        (46, 'C', 32, 1411); (47, 'C', 32, 1323) ] );
+    ( "small2", Ivc_check.Gen.small2, 11,
+      [ (51, 'N', 26, 3517); (52, 'C', 13, 405); (53, 'C', 15, 469);
+        (54, 'C', 15, 458) ] );
+    ( "small3", Ivc_check.Gen.small3, 4,
+      [ (32, 'U', 2001, 234345); (33, 'C', 47, 3622); (34, 'C', 75, 5798) ] );
+    ( "small3", Ivc_check.Gen.small3, 5,
+      [ (41, 'U', 2001, 245500); (42, 'C', 280, 37496); (43, 'C', 18, 1364);
+        (44, 'C', 21, 1634); (45, 'C', 23, 1931); (46, 'C', 25, 2219) ] );
+    ( "small3", Ivc_check.Gen.small3, 7,
+      [ (38, 'U', 2001, 700200); (39, 'U', 2001, 493360); (40, 'C', 32, 5191);
+        (41, 'C', 40, 7168); (42, 'C', 40, 7189); (43, 'C', 26, 2587);
+        (44, 'C', 29, 2560); (45, 'C', 27, 2396); (46, 'C', 28, 2428);
+        (47, 'C', 29, 2423); (48, 'C', 29, 2415) ] );
+    ( "small3", Ivc_check.Gen.small3, 10,
+      [ (41, 'U', 2001, 298873); (42, 'C', 508, 63746) ] );
+    ( "small3", Ivc_check.Gen.small3, 11,
+      [ (49, 'U', 2001, 349790); (50, 'U', 2001, 399047); (51, 'C', 14, 1084);
+        (52, 'C', 17, 1097) ] );
+  ]
+
+let with_obs f =
+  let was = Ivc_obs.enabled () in
+  Ivc_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Ivc_obs.set_enabled was) f
+
+let test_cp_search_pinned () =
+  with_obs @@ fun () ->
+  let nodes = Ivc_obs.Counter.make "exact.cp_nodes"
+  and revs = Ivc_obs.Counter.make "exact.cp_revisions" in
+  List.iter
+    (fun (family, gen, seed, rows) ->
+      let inst = gen ~seed in
+      let lb = Ivc.Bounds.combined inst and ub = fst (Ivc.Algo.best inst) in
+      let name = Printf.sprintf "%s seed %d" family seed in
+      Alcotest.(check (list int))
+        (name ^ ": k from lb - 1 to ub")
+        (List.init (ub - lb + 2) (fun i -> lb - 1 + i))
+        (List.map (fun (k, _, _, _) -> k) rows);
+      List.iter
+        (fun (k, verdict, n, r) ->
+          let n0 = Ivc_obs.Counter.value nodes
+          and r0 = Ivc_obs.Counter.value revs in
+          let v =
+            match Cp.decide ~budget:2_000 inst ~k with
+            | Cp.Colorable s ->
+                Util.check_valid inst s;
+                Alcotest.(check bool)
+                  "within k" true
+                  (Util.maxcolor inst s <= k);
+                'C'
+            | Cp.Not_colorable -> 'N'
+            | Cp.Unknown -> 'U'
+          in
+          Alcotest.(check (triple char int int))
+            (Printf.sprintf "%s k %d: verdict, nodes, revisions" name k)
+            (verdict, n, r)
+            ( v,
+              Ivc_obs.Counter.value nodes - n0,
+              Ivc_obs.Counter.value revs - r0 ))
+        rows)
+    cp_golden
+
+(* A 12x12 probe below the combined lower bound: no 1M-node search
+   settles it, and the front end's CP guard holds for it
+   (134 nonzero cells, best heuristic 74: 134 * 75 <= 500_000). *)
+let hard_probe () = (Util.random_inst2 ~seed:1 ~x:12 ~y:12 ~bound:20, 61)
+
+(* Search nodes allocate nothing: domains are undone from a trail, not
+   copied. An engine that copies every domain for each child it tries
+   allocated about 480 KB per node on this probe. [Cp.optimize] with an
+   autosave that is never due allocates nothing per node either: a node
+   hands the token a payload thunk built once per probe, and a probe
+   record is only made when a snapshot is written. Each run is measured
+   three times and the least allocation counts: one suite run in about
+   twenty measured an extra 1.8 MB once, from outside the search. *)
+let test_cp_allocation_per_node () =
+  let inst, k = hard_probe () in
+  let bound = 64.0 in
+  let least_per_node what run =
+    let once () =
+      let a0 = Gc.allocated_bytes () in
+      let nodes = run () in
+      (Gc.allocated_bytes () -. a0) /. Float.of_int nodes
+    in
+    let least =
+      List.fold_left Float.min infinity (List.init 3 (fun _ -> once ()))
+    in
+    if least >= bound then
+      Alcotest.failf
+        "%s: %.0f bytes allocated per node (setup included), bound %.0f" what
+        least bound
+  in
+  let budget = 2_000 in
+  least_per_node "decide" (fun () ->
+      match Cp.decide ~budget inst ~k with
+      | Cp.Unknown -> budget
+      | _ -> Alcotest.fail "the probe should exhaust its node budget");
+  (* The bracket's second probe exhausts 20 000 nodes; the warm start
+     is computed outside the measurement. *)
+  let warm = Ivc.Algo.best inst in
+  let path = Filename.temp_file "ivc-cp-alloc" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_obs @@ fun () ->
+  let nodes = Ivc_obs.Counter.make "exact.cp_nodes" in
+  least_per_node "optimize with autosave" (fun () ->
+      let autosave = Ivc_persist.Autosave.make ~every_s:1e9 path in
+      let n0 = Ivc_obs.Counter.value nodes in
+      (match Cp.optimize ~budget:20_000 ~autosave ~warm inst with
+      | None -> ()
+      | Some _ -> Alcotest.fail "the bracket should exhaust a probe budget");
+      Alcotest.(check int) "no snapshot is due" 0
+        (Ivc_persist.Autosave.saves autosave);
+      Ivc_obs.Counter.value nodes - n0)
+
+(* [time_limit_s] is wall-clock time: with another domain busy, a
+   process-CPU clock would run out in about half the time. *)
+let test_cp_time_limit_wall_clock () =
+  let inst, k = hard_probe () in
+  let stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        let spins = ref 0 in
+        while not (Atomic.get stop) do
+          incr spins
+        done;
+        !spins)
+  in
+  let limit = 0.5 in
+  let t0 = Ivc_obs.now_ns () in
+  let verdict = Cp.decide ~time_limit_s:limit inst ~k in
+  let elapsed = Ivc_obs.elapsed_s ~since:t0 in
+  Atomic.set stop true;
+  ignore (Domain.join spinner);
+  Alcotest.(check bool) "gave up" true (verdict = Cp.Unknown);
+  if elapsed < limit then
+    Alcotest.failf "gave up after %.2f s of a %.1f s limit" elapsed limit;
+  if elapsed > limit +. 5.0 then
+    Alcotest.failf "took %.2f s to give up on a %.1f s limit" elapsed limit
+
 let suite =
   [
     Alcotest.test_case "cp trivial cases" `Quick test_cp_trivial;
@@ -135,4 +288,9 @@ let suite =
     Alcotest.test_case "milp skips zero weights" `Quick test_milp_skips_zero_weights;
     prop_engines_agree;
     prop_exact_below_heuristics;
+    Alcotest.test_case "cp search pinned" `Quick test_cp_search_pinned;
+    Alcotest.test_case "cp allocation per node" `Quick
+      test_cp_allocation_per_node;
+    Alcotest.test_case "cp time limit is wall clock" `Quick
+      test_cp_time_limit_wall_clock;
   ]

@@ -3,7 +3,7 @@
    snapshot file can be damaged must map to a typed error, never an
    exception or a silent wrong resume), autosave cadence, atomic
    installs, and deterministic kill-resume equivalence for the order
-   branch-and-bound, iterated greedy and fuzz-campaign loops. *)
+   branch-and-bound, CP, iterated greedy and fuzz-campaign loops. *)
 
 module S = Ivc_grid.Stencil
 module Codec = Ivc_persist.Codec
@@ -496,6 +496,95 @@ let test_kill_resume_order_bb () =
     (Order_bb.upper_bound_of final);
   Util.check_valid inst (Order_bb.starts_of final)
 
+(* The same for the CP bracket: kills land inside a decision probe
+   (every probe node is a checkpoint), the resume replays the probe's
+   decision path, and the result must be the uninterrupted run's
+   optimum and witness. *)
+let test_kill_resume_cp () =
+  let inst = Ivc_check.Gen.small3 ~seed:5 in
+  let budget = 2_000 in
+  let reference = Cp.optimize ~budget inst in
+  with_temp @@ fun path ->
+  let resumed = ref 0 and mid_probe = ref 0 in
+  let rec attempt resume =
+    let kill_at = 50 * (!resumed + 1) in
+    let a =
+      Autosave.make ~every_s:0.0
+        ~on_save:(fun s -> if s >= kill_at && !resumed < 3 then raise Killed)
+        path
+    in
+    match Cp.optimize ~budget ~autosave:a ?resume inst with
+    | result -> result
+    | exception Killed -> (
+        incr resumed;
+        match Result.bind (Snapshot.load path) (Cp.decode_checkpoint ~inst) with
+        | Ok c ->
+            if c.Cp.probe <> None then incr mid_probe;
+            attempt (Some c)
+        | Error e ->
+            Alcotest.failf "reload after kill %d failed: %s" !resumed
+              (Snapshot.error_to_string e))
+  in
+  let final = attempt None in
+  Alcotest.(check int) "killed three times" 3 !resumed;
+  Alcotest.(check int) "every kill inside a probe" 3 !mid_probe;
+  match (reference, final) with
+  | Some (opt, starts), Some (opt', starts') ->
+      Alcotest.(check int) "same optimum" opt opt';
+      Alcotest.(check (array int)) "same witness" starts starts';
+      Util.check_valid inst starts'
+  | _ -> Alcotest.fail "both runs should close the bracket"
+
+(* A kill costs no budget: the resume enters the node the snapshot was
+   written at again without counting it twice, so at the smallest budget
+   that closes an uninterrupted run, a run killed mid-search closes as
+   well, in both engines. *)
+let test_kill_resume_exact_budget () =
+  with_temp @@ fun path ->
+  let killed_at save solve decode =
+    let a =
+      Autosave.make ~every_s:0.0
+        ~on_save:(fun s -> if s = save then raise Killed)
+        path
+    in
+    match solve (Some a) None with
+    | _ -> Alcotest.fail "the kill did not fire"
+    | exception Killed -> (
+        match Result.bind (Snapshot.load path) decode with
+        | Ok c -> solve None (Some c)
+        | Error e -> Alcotest.failf "reload: %s" (Snapshot.error_to_string e))
+  in
+  (* order-BB: the smallest closing budget is the uninterrupted node count *)
+  let inst = Ivc_check.Gen.small2 ~seed:171 in
+  let bb_nodes = Ivc_obs.Counter.make "exact.bb_nodes" in
+  let was = Ivc_obs.enabled () in
+  Ivc_obs.set_enabled true;
+  let n0 = Ivc_obs.Counter.value bb_nodes in
+  ignore (Order_bb.solve ~node_budget:max_int inst);
+  let need = Ivc_obs.Counter.value bb_nodes - n0 in
+  Ivc_obs.set_enabled was;
+  let bb budget autosave resume =
+    Order_bb.solve ~node_budget:budget ?autosave ?resume inst
+  in
+  Alcotest.(check bool) "order-bb closes at its node count" true
+    (Order_bb.is_optimal (bb need None None));
+  Alcotest.(check bool) "order-bb: one node less does not" false
+    (Order_bb.is_optimal (bb (need - 1) None None));
+  Alcotest.(check bool) "order-bb killed once still closes" true
+    (Order_bb.is_optimal
+       (killed_at 1 (bb need) (Order_bb.decode_checkpoint ~inst)));
+  (* CP: probes 44, 43 and 42 take 21, 18 and 280 nodes (see the pinned
+     search in test_exact), and the kill lands in the last one *)
+  let inst = Ivc_check.Gen.small3 ~seed:5 in
+  let cp budget autosave resume =
+    Cp.optimize ~budget ?autosave ?resume inst
+  in
+  Alcotest.(check bool) "cp closes at 280 nodes a probe" true
+    (cp 280 None None <> None);
+  Alcotest.(check bool) "cp: 279 does not" true (cp 279 None None = None);
+  Alcotest.(check bool) "cp killed inside a probe still closes" true
+    (killed_at 100 (cp 280) (Cp.decode_checkpoint ~inst) = cp 280 None None)
+
 let test_kill_resume_iterated () =
   let inst = Util.random_inst2 ~seed:4243 ~x:9 ~y:9 ~bound:15 in
   let stacked, _ = Ivc.Special.color_clique ~w:(inst : S.t).w in
@@ -813,4 +902,7 @@ let suite =
       test_wal_bitflip_fail_closed;
     Alcotest.test_case "scrub: quarantine is idempotent" `Quick
       test_scrub_quarantines_wal_damage;
+    Alcotest.test_case "kill-resume: cp" `Quick test_kill_resume_cp;
+    Alcotest.test_case "kill-resume at the exact node budget" `Quick
+      test_kill_resume_exact_budget;
   ]
