@@ -40,7 +40,9 @@ let fig3 () =
   let clique = Ivc.Bounds.clique_lb inst in
   let oddcycle = Ivc.Bounds.odd_cycle_lb ~max_len:11 inst in
   let exact =
-    match Ivc_exact.Cp.optimize inst with Some (opt, _) -> opt | None -> -1
+    match Ivc_exact.Cp.optimize inst with
+    | Ivc_exact.Cp.Optimal (opt, _) -> opt
+    | Ivc_exact.Cp.Bounds _ -> -1
   in
   Perfprof.Ascii.table fmt
     ~header:[ "quantity"; "value"; "paper (different instance)" ]

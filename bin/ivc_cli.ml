@@ -396,7 +396,8 @@ let exact_cmd =
   let budget_t =
     Arg.(
       value & opt int 200_000
-      & info [ "budget" ] ~docv:"N" ~doc:"Branch-and-bound node budget.")
+      & info [ "budget" ] ~docv:"N"
+          ~doc:"Exact-search budget: each CP probe expands at most 10 N nodes.")
   in
   let time_t =
     Arg.(
@@ -449,7 +450,7 @@ let exact_cmd =
     end
     else begin
       let resume =
-        load_resume checkpoint resume (Ivc_exact.Optimize.plan_resume ~inst)
+        load_resume checkpoint resume (Ivc_exact.Cp.decode_checkpoint ~inst)
       in
       let o =
         Ivc_exact.Optimize.solve ~budget ~time_limit_s ?autosave ?resume inst

@@ -21,7 +21,8 @@
        reflections) preserve all bounds and permute first-fit
        colorings exactly.}
     {- [portfolio] — the resilient driver's outcome certifies with
-       ordered bounds.}} *)
+       ordered bounds, and it is proven exactly when its lower bound
+       meets its maxcolor.}} *)
 
 val cert : Oracle.t
 val kernel_diff : Oracle.t
@@ -32,9 +33,9 @@ val bound_monotone : Oracle.t
 val metamorphic : Oracle.t
 val portfolio : Oracle.t
 
-(** Kill-resume verification: each exact engine (order-BB, and the CP
-    bracket with its in-flight probe) is killed at fault-plan-chosen
-    checkpoint boundaries (simulated kill -9 — the raise happens right
+(** Kill-resume verification: the CP search (its bracket with the
+    in-flight probe) is killed at fault-plan-chosen checkpoint
+    boundaries (simulated kill -9 — the raise happens right
     after the snapshot's atomic install), resumed from the on-disk
     snapshot, and must reach the same certified result as an
     uninterrupted run with the same cumulative budget; checkpoints on

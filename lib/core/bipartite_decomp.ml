@@ -90,17 +90,12 @@ let post_order inst starts =
 let post inst starts =
   let order = post_order inst starts in
   let current = Array.copy starts in
-  let w = (inst : Stencil.t).w in
+  let sc = Ivc_kernel.Ff.make_scratch inst in
   (* Recolor one vertex at a time: drop its interval and first-fit it
      against all other currently colored vertices. *)
-  let recolor_one v =
-    let neigh = ref [] in
-    Stencil.iter_neighbors inst v (fun u ->
-        if current.(u) >= 0 && w.(u) > 0 then
-          neigh := Interval.make ~start:current.(u) ~len:w.(u) :: !neigh);
-    current.(v) <- Greedy.first_fit ~len:w.(v) !neigh
-  in
-  Array.iter recolor_one order;
+  Array.iter
+    (fun v -> current.(v) <- Ivc_kernel.Ff.first_fit_for sc ~starts:current v)
+    order;
   current
 
 let bdp inst = post inst (bd inst).starts

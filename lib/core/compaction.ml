@@ -2,23 +2,13 @@ module Stencil = Ivc_grid.Stencil
 
 let compact inst starts =
   let n = Stencil.n_vertices inst in
-  let w = (inst : Stencil.t).w in
   let order = Array.init n Fun.id in
   Array.sort
     (fun a b ->
       if starts.(a) <> starts.(b) then compare starts.(a) starts.(b)
       else compare a b)
     order;
-  let out = Array.make n (-1) in
-  Array.iter
-    (fun v ->
-      let neigh = ref [] in
-      Stencil.iter_neighbors inst v (fun u ->
-          if out.(u) >= 0 && w.(u) > 0 then
-            neigh := Interval.make ~start:out.(u) ~len:w.(u) :: !neigh);
-      out.(v) <- Greedy.first_fit ~len:w.(v) !neigh)
-    order;
-  out
+  Ivc_kernel.Ff.color_in_order inst order
 
 (* How far down can v slide given the other vertices' current
    positions? 0 if blocked in place. *)

@@ -4,7 +4,7 @@ module Ff = Ivc_kernel.Ff
 
 (* Scan sorted (start, finish) pairs for the first gap of width [len].
    Zero-length vertices can always be placed at 0. Shared by the
-   reference engine, the graph version and the list-based [first_fit]. *)
+   reference engine, its list-based [first_fit] and the graph version. *)
 let scan_gap pairs count len =
   if len = 0 then 0
   else begin
@@ -161,22 +161,3 @@ let color_in_order_graph g ~w order =
   if !colored <> n then
     invalid_arg "Greedy.color_in_order_graph: order is not a permutation";
   starts
-
-let first_fit ~len intervals =
-  if len < 0 then invalid_arg "Greedy.first_fit: negative length";
-  (* One fold over the list into a preallocated pair buffer — no
-     [List.filter] / [List.map] / [Array.of_list] intermediates. *)
-  let n = List.length intervals in
-  let pairs = Array.make (max 1 n) (0, 0) in
-  let count =
-    List.fold_left
-      (fun c (iv : Interval.t) ->
-        if Interval.is_empty iv then c
-        else begin
-          pairs.(c) <- (iv.start, Interval.finish iv);
-          c + 1
-        end)
-      0 intervals
-  in
-  sort_prefix pairs count;
-  scan_gap pairs count len

@@ -19,7 +19,12 @@ module Reference : sig
   val uncolor : state -> int -> unit
   val starts : state -> int array
   val color_in_order : Ivc_grid.Stencil.t -> int array -> int array
+
   val first_fit : len:int -> Interval.t list -> int
+  (** [first_fit ~len intervals] is the smallest start [s >= 0] such
+      that [[s, s+len)] is disjoint from every interval in the list;
+      [intervals] need not be sorted: the placement rule of every
+      engine, in its plainest form. *)
 end
 
 type state
@@ -65,8 +70,3 @@ val color_in_order : Ivc_grid.Stencil.t -> int array -> int array
     special-case algorithms and tests. *)
 val color_in_order_graph :
   Ivc_graph.Csr.t -> w:int array -> int array -> int array
-
-(** [first_fit ~len intervals] is the smallest start [s >= 0] such that
-    [[s, s+len)] is disjoint from every interval in the list. Exposed
-    for testing; [intervals] need not be sorted. *)
-val first_fit : len:int -> Interval.t list -> int

@@ -3,6 +3,8 @@ module Snapshot = Ivc_persist.Snapshot
 module Codec = Ivc_persist.Codec
 
 type verdict = Colorable of int array | Not_colorable | Unknown
+type status = Optimal of int * int array | Bounds of int * int * int array
+type warm = { lb : int; ub : int; starts : int array }
 
 let c_cp_nodes = Ivc_obs.Counter.make "exact.cp_nodes"
 let c_cp_revisions = Ivc_obs.Counter.make "exact.cp_revisions"
@@ -457,6 +459,10 @@ let optimize_graph ?(budget = 10_000_000) g ~w =
   in
   go lb ub trivial
 
+let warm_start inst =
+  let ub, starts = Ivc.Algo.best inst in
+  { lb = Ivc.Bounds.combined inst; ub; starts }
+
 let optimize ?(budget = 10_000_000) ?time_limit_s ?(cancel = fun () -> false)
     ?autosave ?resume ?warm inst =
   let t0 = Ivc_obs.now_ns () in
@@ -481,8 +487,8 @@ let optimize ?(budget = 10_000_000) ?time_limit_s ?(cancel = fun () -> false)
   let rec go lo hi best_starts =
     (* invariant: colorable with hi (witness best_starts); the smallest
        feasible k lies in [lo, hi] *)
-    if lo >= hi then Some (hi, best_starts)
-    else if cancel () then None
+    if lo >= hi then Optimal (hi, best_starts)
+    else if cancel () then Bounds (lo, hi, best_starts)
     else begin
       let mid = (lo + hi) / 2 in
       let resume_probe =
@@ -527,18 +533,15 @@ let optimize ?(budget = 10_000_000) ?time_limit_s ?(cancel = fun () -> false)
             (fun a -> save_bracket a ~lo:(mid + 1) ~hi ~starts:best_starts)
             autosave;
           go (mid + 1) hi best_starts
-      | Unknown -> None
+      | Unknown -> Bounds (lo, hi, best_starts)
     end
   in
   match resume with
   | Some c ->
-      (* The snapshot's bracket subsumes the heuristic warm start the
-         killed run already performed; recomputing it could not
-         tighten anything and would desynchronize the pending probe. *)
+      (* The snapshot's bracket subsumes the warm start the killed run
+         already performed; recomputing it could not tighten anything
+         and would desynchronize the pending probe. *)
       go c.lo c.hi (Array.copy c.best_starts)
   | None ->
-      let ub, ub_starts =
-        match warm with Some w -> w | None -> Ivc.Algo.best inst
-      in
-      let lb = Ivc.Bounds.combined inst in
-      if ub <= lb then Some (ub, ub_starts) else go lb ub ub_starts
+      let w = match warm with Some w -> w | None -> warm_start inst in
+      go w.lb w.ub w.starts

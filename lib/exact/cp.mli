@@ -1,13 +1,14 @@
 (** Constraint-propagation decision solver for IVC: is a stencil
-    instance colorable with at most [k] colors?
+    instance colorable with at most [k] colors? A binary search over
+    [k] ({!optimize}) is the exact engine of the solve path: it stands
+    in for the paper's Gurobi runs behind {!Optimize.solve}.
 
     Domains are explicit sets of candidate starts (size at most [k]),
-    so this engine targets instances with a small number of colors —
-    exactly the regime of the NP-completeness gadget of Section IV
-    (k = 14) and of the theory instances of Section III. It maintains
-    pairwise arc consistency on the disjointness constraints and
-    searches with minimum-remaining-values branching (the first
-    smallest domain with more than one value, values ascending).
+    so memory grows with n·(k+1); {!Optimize.solve} runs it only where
+    that product is at most 500 000. It maintains pairwise arc
+    consistency on the disjointness constraints and searches with
+    minimum-remaining-values branching (the first smallest domain with
+    more than one value, values ascending).
 
     Domains are bitsets in one flat store with cached min, max and
     size; a revision clears the one unsupported range word by word.
@@ -91,16 +92,32 @@ val decode_checkpoint :
 (** Fails closed: kind, fingerprint, bracket sanity, probe/bracket
     consistency and path well-formedness are all validated. *)
 
-(** Exact optimum via binary search on [k], between the best heuristic
-    value and the combined lower bound. Returns [(opt, starts)] or
-    [None] when a budget was hit (or [cancel] fired) before closing
-    the gap. [time_limit_s] bounds the whole search in wall-clock
-    seconds.
+type status =
+  | Optimal of int * int array  (** proven optimal maxcolor + witness *)
+  | Bounds of int * int * int array
+      (** [(lo, hi, starts)] when a limit stopped the search: the
+          optimum lies in [[lo, hi]] and [starts] colors within [hi] *)
 
-    [warm] is the heuristic warm start [(maxcolor, starts)]: a valid
-    coloring of the instance and its color count. Without it the
-    search computes {!Ivc.Algo.best}; a caller that already has that
-    pick passes it, and the search is the same.
+type warm = {
+  lb : int;  (** a certified lower bound on the optimum *)
+  ub : int;  (** the maxcolor of [starts] *)
+  starts : int array;  (** a valid coloring of the instance *)
+}
+(** The bracket a search starts from. *)
+
+val warm_start : Ivc_grid.Stencil.t -> warm
+(** {!Ivc.Bounds.combined} and {!Ivc.Algo.best}'s pick. *)
+
+(** Exact optimum via binary search on [k] over the bracket
+    [[warm.lb, warm.ub]]. Returns [Optimal (opt, starts)], or the
+    bracket reached so far as [Bounds] when a probe ran out of its
+    node budget, [time_limit_s] ran out or [cancel] fired. [budget]
+    caps the nodes of each probe; [time_limit_s] bounds the whole
+    search in wall-clock seconds.
+
+    [warm] defaults to {!warm_start}; a caller that already has a
+    certified coloring and lower bound passes them, and the search
+    starts from that bracket instead of computing one.
 
     [autosave] checkpoints the bracket (and the in-flight probe's
     decision path) through the token at every probe node and at each
@@ -112,9 +129,9 @@ val optimize :
   ?cancel:(unit -> bool) ->
   ?autosave:Ivc_persist.Autosave.t ->
   ?resume:checkpoint ->
-  ?warm:int * int array ->
+  ?warm:warm ->
   Ivc_grid.Stencil.t ->
-  (int * int array) option
+  status
 
 (** Exact optimum on an arbitrary weighted graph (binary search between
     the pair bound and total weight). *)

@@ -26,7 +26,7 @@ let search ?(x = 4) ?(y = 4) ?(weight_bound = 9) ?(zero_bias = 0.45)
       if clique_lb = 0 then None
       else
         match Cp.optimize ~time_limit_s inst with
-        | Some (optimum, _) when optimum > clique_lb ->
+        | Cp.Optimal (optimum, _) when optimum > clique_lb ->
             let odd_cycle_lb = Ivc.Bounds.odd_cycle_lb ~max_len:11 inst in
             if optimum > odd_cycle_lb then
               Some { inst; clique_lb; odd_cycle_lb; optimum; seed }

@@ -48,7 +48,7 @@ let c_resumes = Ivc_obs.Counter.make "persist.resumes"
    — the certified incumbent plus the tightest lower bound, enough to
    re-seed the portfolio — and hands the same autosave token to the
    stages, which overwrite the file with their finer-grained kinds
-   ("iterated", "cp-opt", "order-bb") while they run. A resume therefore
+   ("iterated", "cp-opt") while they run. A resume therefore
    holds whatever the killed run was doing last, and [decode_resume]
    dispatches it back to that point in the chain. *)
 
@@ -63,7 +63,7 @@ type seed = {
 type resume =
   | Seed of seed
   | Improve of Ivc.Iterated.checkpoint
-  | Exact_stage of Ivc_exact.Optimize.resume_plan
+  | Exact_stage of Ivc_exact.Cp.checkpoint
 
 let driver_kind = "driver"
 
@@ -110,8 +110,8 @@ let decode_resume ~inst snap =
       (Ivc.Iterated.decode_checkpoint ~inst ~passes:improve_passes snap)
   else
     Result.map
-      (fun p -> Exact_stage p)
-      (Ivc_exact.Optimize.plan_resume ~inst snap)
+      (fun c -> Exact_stage c)
+      (Ivc_exact.Cp.decode_checkpoint ~inst snap)
 
 (* ---- out-of-core solves ----------------------------------------------
 
@@ -240,12 +240,7 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
         s.starts
   | Some (Improve c) ->
       consider ~provenance:(Resumed (Heuristic "IGR")) c.Ivc.Iterated.best
-  | Some (Exact_stage (Ivc_exact.Optimize.Order_bb_plan c)) ->
-      lb := max !lb c.Ivc_exact.Order_bb.lb;
-      consider
-        ~provenance:(Resumed (Heuristic "B&B incumbent"))
-        c.Ivc_exact.Order_bb.best_starts
-  | Some (Exact_stage (Ivc_exact.Optimize.Cp_plan c)) ->
+  | Some (Exact_stage c) ->
       lb := max !lb c.Ivc_exact.Cp.lo;
       consider
         ~provenance:(Resumed (Heuristic "CP incumbent"))
@@ -260,25 +255,17 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
         (Ivc_kernel.Ff.color_in_order inst (Stencil.row_major_order inst)));
   (* Stage 1 — the heuristic portfolio, cheapest quality upgrades.
      Skipped on resume: the killed run already folded these candidates
-     into the incumbent the snapshot carries. When it runs to the end,
-     its incumbent is [Algo.best]'s pick (the fallback is GLL's
-     coloring), which the exact engines would otherwise recompute, so
-     it becomes their warm start. *)
-  let warm = ref None in
+     into the incumbent the snapshot carries. The fallback is GLL's
+     coloring, so GLL is not run again. *)
   if resume = None && not (cancel ()) then
     Ivc_obs.Span.record ~cat:"resilient" "resilient.stage_heuristics"
       (fun () ->
-        let complete = ref true in
         List.iter
           (fun (a : Ivc.Algo.t) ->
-            if a.Ivc.Algo.name <> "GLL" then
-              if cancel () then complete := false
-              else
-                consider ~provenance:(Heuristic a.Ivc.Algo.name)
-                  (a.Ivc.Algo.run inst))
-          Ivc.Algo.all;
-        if !complete then
-          warm := Option.map (fun (starts, mc, _, _) -> (mc, starts)) !best);
+            if a.Ivc.Algo.name <> "GLL" && not (cancel ()) then
+              consider ~provenance:(Heuristic a.Ivc.Algo.name)
+                (a.Ivc.Algo.run inst))
+          Ivc.Algo.all);
   tick_seed ();
   (* Stage 1.5 — iterated-greedy improvement of the incumbent. Skipped
      when resuming into the exact stage (the killed run had finished
@@ -308,17 +295,24 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
     | _ -> ()
   end;
   tick_seed ();
-  (* Stage 2 — exact, on whatever time remains. A browned-out server
-     turns this stage off wholesale ([exact = false]): the certified
-     heuristic incumbent ships as-is. *)
+  (* Stage 2 — exact, on whatever time remains, warm-started from the
+     certified incumbent and the lower bound computed above, so an
+     incumbent at the bound closes without a search. A browned-out
+     server turns this stage off wholesale ([exact = false]): the
+     certified heuristic incumbent ships as-is. *)
   if exact && not (cancel ()) then begin
     let exact_resume =
-      match resume with Some (Exact_stage p) -> Some p | _ -> None
+      match resume with Some (Exact_stage c) -> Some c | _ -> None
+    in
+    let warm =
+      Option.map
+        (fun (starts, ub, _, _) -> { Ivc_exact.Cp.lb = !lb; ub; starts })
+        !best
     in
     let o =
       Ivc_exact.Optimize.solve ~budget
         ?time_limit_s:(Deadline.remaining_s token)
-        ~cancel ?autosave ?resume:exact_resume ?warm:!warm inst
+        ~cancel ?autosave ?resume:exact_resume ?warm inst
     in
     lb := max !lb o.Ivc_exact.Optimize.lower_bound;
     let wrap p = if exact_resume <> None then Resumed p else p in
@@ -327,7 +321,7 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
         o.Ivc_exact.Optimize.starts
     else
       consider
-        ~provenance:(wrap (Heuristic "B&B incumbent"))
+        ~provenance:(wrap (Heuristic "CP incumbent"))
         o.Ivc_exact.Optimize.starts
   end;
   tick_seed ();
@@ -340,12 +334,15 @@ let solve ?deadline_s ?deadline ?cancel ?(budget = 200_000) ?(improve = true)
         (Option.value !last_reject
            ~default:(Cert.Wrong_length { expected = -1; got = -1 }))
   | Some (starts, maxcolor, provenance, proven) ->
+      (* An answer at its certified lower bound is optimal, whichever
+         stage produced it. *)
+      let proven = proven || maxcolor <= !lb in
       let rec base = function Resumed p -> base p | p -> p in
       (match base provenance with
       | Exact -> Ivc_obs.Counter.incr c_exact
       | Heuristic _ -> Ivc_obs.Counter.incr c_heuristic
       | Fallback | Resumed _ -> Ivc_obs.Counter.incr c_fallback);
-      let lower_bound = if proven then maxcolor else min !lb maxcolor in
+      let lower_bound = if proven then maxcolor else !lb in
       Ok
         {
           starts;

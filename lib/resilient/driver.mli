@@ -5,8 +5,8 @@
     The chain, cheapest-first so an incumbent exists from the first
     milliseconds: greedy first-fit (the guaranteed fallback), then the
     full heuristic portfolio (GZO, GLF, GKF, SGK, BD, BDP), then
-    iterated-greedy improvement, then the exact engines (CP decision /
-    order branch-and-bound) on whatever time remains. Cancellation is
+    iterated-greedy improvement, then the exact CP search, warm-started
+    from the certified incumbent, on whatever time remains. Cancellation is
     cooperative at every stage boundary and inside every solver loop;
     whatever stage the deadline interrupts, the best previously
     certified incumbent is returned, with provenance recording which
@@ -22,7 +22,7 @@
 type provenance =
   | Exact  (** proven optimal within the deadline *)
   | Heuristic of string
-      (** name of the heuristic (or B&B incumbent) that produced the
+      (** name of the heuristic (or CP incumbent) that produced the
           returned coloring *)
   | Fallback  (** only the greedy first-fit fallback completed *)
   | Resumed of provenance
@@ -38,6 +38,9 @@ type outcome = {
           iff [proven_optimal] *)
   provenance : provenance;
   proven_optimal : bool;
+      (** the exact stage closed the gap, or [maxcolor] meets the
+          certified lower bound; [provenance] still names the stage
+          that produced the coloring *)
   elapsed_s : float;
       (** wall-clock seconds this solve spent, on the monotonic
           clock *)
@@ -74,8 +77,8 @@ type seed = {
 type resume =
   | Seed of seed  (** re-seed the incumbent, redo improve + exact *)
   | Improve of Ivc.Iterated.checkpoint  (** resume mid-improvement *)
-  | Exact_stage of Ivc_exact.Optimize.resume_plan
-      (** resume inside an exact engine *)
+  | Exact_stage of Ivc_exact.Cp.checkpoint
+      (** resume inside the CP search *)
 
 val driver_kind : string
 (** Snapshot kind tag, ["driver"]. *)
@@ -86,9 +89,11 @@ val decode_resume :
   inst:Ivc_grid.Stencil.t ->
   Ivc_persist.Snapshot.t ->
   (resume, Ivc_persist.Snapshot.error) result
-(** Decode any snapshot the portfolio (or its stages) may have written.
-    Fails closed with a typed error; callers fall back to a fresh
-    solve and report the reason. *)
+(** Decode any snapshot the portfolio (or its stages) may have written:
+    ["driver"], ["iterated"] or ["cp-opt"]. Fails closed with a typed
+    error (any other kind, an ["order-bb"] snapshot of an older build
+    included, is [Wrong_kind]); callers fall back to a fresh solve and
+    report the reason. *)
 
 (** {1 Out-of-core solves}
 

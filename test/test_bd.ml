@@ -14,8 +14,8 @@ let test_bd2_valid_and_bounded () =
 let test_bd2_2approx_vs_exact () =
   let inst = Util.random_inst2 ~seed:15 ~x:4 ~y:4 ~bound:8 in
   match Ivc_exact.Cp.optimize inst with
-  | None -> Alcotest.fail "exact budget"
-  | Some (opt, _) ->
+  | Ivc_exact.Cp.Bounds _ -> Alcotest.fail "exact budget"
+  | Ivc_exact.Cp.Optimal (opt, _) ->
       let r = BD.bd2 inst in
       let mc = Util.maxcolor inst r.BD.starts in
       Alcotest.(check bool) "lower bound sound" true (r.BD.lower_bound <= opt);

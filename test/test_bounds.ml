@@ -33,8 +33,8 @@ let test_odd_cycle_lb_beats_clique () =
   let cl = Bo.clique_lb inst in
   (* both are lower bounds for the exact optimum *)
   match Ivc_exact.Cp.optimize inst with
-  | None -> Alcotest.fail "exact budget"
-  | Some (opt, _) ->
+  | Ivc_exact.Cp.Bounds _ -> Alcotest.fail "exact budget"
+  | Ivc_exact.Cp.Optimal (opt, _) ->
       Alcotest.(check bool) "odd cycle lb sound" true (oc <= opt);
       Alcotest.(check bool) "clique lb sound" true (cl <= opt)
 

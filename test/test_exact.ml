@@ -28,10 +28,10 @@ let test_cp_k4_block () =
 let test_cp_optimize_matches_clique () =
   let inst = S.make2 ~x:2 ~y:2 [| 3; 2; 1; 4 |] in
   match Cp.optimize inst with
-  | Some (opt, starts) ->
+  | Cp.Optimal (opt, starts) ->
       Alcotest.(check int) "K4 optimum" 10 opt;
       ignore (Ivc.Coloring.assert_valid inst starts)
-  | None -> Alcotest.fail "budget"
+  | Cp.Bounds _ -> Alcotest.fail "budget"
 
 let test_lower_bounds_not_tight_fig3 () =
   (* Section III-D phenomenon (Figure 3 in the paper): an instance whose
@@ -45,19 +45,19 @@ let test_lower_bounds_not_tight_fig3 () =
   Alcotest.(check int) "clique bound" 18 (Ivc.Bounds.clique_lb inst);
   Alcotest.(check int) "odd cycle bound" 18 (Ivc.Bounds.odd_cycle_lb ~max_len:11 inst);
   match Cp.optimize inst with
-  | Some (opt, starts) ->
+  | Cp.Optimal (opt, starts) ->
       Alcotest.(check int) "optimum exceeds both" 19 opt;
       ignore (Ivc.Coloring.assert_valid inst starts)
-  | None -> Alcotest.fail "budget"
+  | Cp.Bounds _ -> Alcotest.fail "budget"
 
 let test_order_bb_simple () =
   let inst = Util.random_inst2 ~seed:31 ~x:3 ~y:3 ~bound:7 in
   match (Obb.solve inst, Cp.optimize inst) with
-  | Obb.Optimal (v1, s1), Some (v2, _) ->
+  | Obb.Optimal (v1, s1), Cp.Optimal (v2, _) ->
       Alcotest.(check int) "engines agree" v2 v1;
       ignore (Ivc.Coloring.assert_valid inst s1)
   | Obb.Bounds _, _ -> Alcotest.fail "order bb should close a 3x3"
-  | _, None -> Alcotest.fail "cp budget"
+  | _, Cp.Bounds _ -> Alcotest.fail "cp budget"
 
 let test_order_bb_accessors () =
   let o = Obb.Optimal (5, [| 0 |]) in
@@ -81,7 +81,9 @@ let test_optimize_frontend () =
 
 let test_optimal_value () =
   let inst = S.make2 ~x:2 ~y:2 [| 1; 1; 1; 1 |] in
-  Alcotest.(check (option int)) "unit K4" (Some 4) (Opt.optimal_value inst)
+  let o = Opt.solve inst in
+  Alcotest.(check bool) "proven" true o.Opt.proven_optimal;
+  Alcotest.(check int) "unit K4" 4 o.Opt.upper_bound
 
 let test_milp_model () =
   let inst = S.make2 ~x:2 ~y:2 [| 3; 2; 1; 4 |] in
@@ -106,19 +108,31 @@ let test_milp_skips_zero_weights () =
   Alcotest.(check int) "two start vars + maxcolor" 3 cont;
   Alcotest.(check int) "one conflicting pair" 1 bin
 
-(* agreement between the two exact engines on random instances *)
+(* Agreement between the two exact engines on random instances. Each
+   side returns a bracket holding the optimum, a single value when it
+   closed, and a witness coloring within its upper end: the brackets
+   must overlap, so a proven optimum lies in the other side's bracket
+   and two proven optima are equal. *)
 let prop_engines_agree =
   Util.qtest ~count:25 "CP and order-BB agree" Util.gen_inst2 (fun inst ->
-      match (Cp.optimize ~budget:2_000_000 inst, Obb.solve ~node_budget:400_000 inst) with
-      | Some (v1, _), Obb.Optimal (v2, _) -> v1 = v2
-      | _ -> QCheck2.assume_fail ())
+      let bracket = function
+        | Cp.Optimal (v, s) -> (v, v, s)
+        | Cp.Bounds (lo, hi, s) -> (lo, hi, s)
+      in
+      let l1, u1, s1 = bracket (Cp.optimize ~budget:2_000_000 inst)
+      and l2, u2, s2 = bracket (Obb.solve ~node_budget:400_000 inst) in
+      Util.maxcolor inst s1 <= u1
+      && Util.maxcolor inst s2 <= u2
+      && Ivc.Coloring.is_valid inst s1
+      && Ivc.Coloring.is_valid inst s2
+      && l1 <= u2 && l2 <= u1)
 
 (* exact is never above any heuristic *)
 let prop_exact_below_heuristics =
   Util.qtest ~count:30 "exact <= best heuristic" Util.gen_inst2 (fun inst ->
       match Cp.optimize ~budget:2_000_000 inst with
-      | None -> QCheck2.assume_fail ()
-      | Some (opt, _) ->
+      | Cp.Bounds _ -> QCheck2.assume_fail ()
+      | Cp.Optimal (opt, _) ->
           List.for_all (fun (_, _, mc) -> opt <= mc) (Ivc.Algo.run_all inst))
 
 (* The decision search, pinned: (k, verdict, nodes, revisions) of
@@ -234,7 +248,7 @@ let test_cp_allocation_per_node () =
       | _ -> Alcotest.fail "the probe should exhaust its node budget");
   (* The bracket's second probe exhausts 20 000 nodes; the warm start
      is computed outside the measurement. *)
-  let warm = Ivc.Algo.best inst in
+  let warm = Cp.warm_start inst in
   let path = Filename.temp_file "ivc-cp-alloc" ".snap" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   with_obs @@ fun () ->
@@ -243,8 +257,9 @@ let test_cp_allocation_per_node () =
       let autosave = Ivc_persist.Autosave.make ~every_s:1e9 path in
       let n0 = Ivc_obs.Counter.value nodes in
       (match Cp.optimize ~budget:20_000 ~autosave ~warm inst with
-      | None -> ()
-      | Some _ -> Alcotest.fail "the bracket should exhaust a probe budget");
+      | Cp.Bounds _ -> ()
+      | Cp.Optimal _ ->
+          Alcotest.fail "the bracket should exhaust a probe budget");
       Alcotest.(check int) "no snapshot is due" 0
         (Ivc_persist.Autosave.saves autosave);
       Ivc_obs.Counter.value nodes - n0)

@@ -5,16 +5,17 @@ module I = Ivc.Interval
 let iv s l = I.make ~start:s ~len:l
 
 let test_first_fit () =
-  Alcotest.(check int) "empty neighborhood" 0 (G.first_fit ~len:3 []);
-  Alcotest.(check int) "after one block" 2 (G.first_fit ~len:3 [ iv 0 2 ]);
-  Alcotest.(check int) "fits in gap" 2 (G.first_fit ~len:2 [ iv 0 2; iv 4 3 ]);
-  Alcotest.(check int) "gap too small" 7 (G.first_fit ~len:3 [ iv 0 2; iv 4 3 ]);
-  Alcotest.(check int) "unsorted input" 7 (G.first_fit ~len:3 [ iv 4 3; iv 0 2 ]);
-  Alcotest.(check int) "zero length" 0 (G.first_fit ~len:0 [ iv 0 100 ]);
-  Alcotest.(check int) "ignores empty intervals" 0 (G.first_fit ~len:5 [ iv 2 0 ]);
+  let ff = G.Reference.first_fit in
+  Alcotest.(check int) "empty neighborhood" 0 (ff ~len:3 []);
+  Alcotest.(check int) "after one block" 2 (ff ~len:3 [ iv 0 2 ]);
+  Alcotest.(check int) "fits in gap" 2 (ff ~len:2 [ iv 0 2; iv 4 3 ]);
+  Alcotest.(check int) "gap too small" 7 (ff ~len:3 [ iv 0 2; iv 4 3 ]);
+  Alcotest.(check int) "unsorted input" 7 (ff ~len:3 [ iv 4 3; iv 0 2 ]);
+  Alcotest.(check int) "zero length" 0 (ff ~len:0 [ iv 0 100 ]);
+  Alcotest.(check int) "ignores empty intervals" 0 (ff ~len:5 [ iv 2 0 ]);
   Alcotest.(check int) "overlapping neighbors" 7
-    (G.first_fit ~len:1 [ iv 0 5; iv 3 4 ]);
-  Alcotest.(check int) "duplicate neighbors" 2 (G.first_fit ~len:9 [ iv 0 2; iv 0 2 ])
+    (ff ~len:1 [ iv 0 5; iv 3 4 ]);
+  Alcotest.(check int) "duplicate neighbors" 2 (ff ~len:9 [ iv 0 2; iv 0 2 ])
 
 let test_color_in_order_row_major () =
   (* 1x? is forbidden (dims >= 1 is ok; use a 2x3) *)

@@ -38,8 +38,9 @@ let test_windowed_odd_cycle_bound_sound () =
   Alcotest.(check bool) "windowed at least the pair bound here" true
     (windowed >= Ivc.Bounds.pair_lb inst);
   match Ivc_exact.Cp.optimize inst with
-  | Some (opt, _) -> Alcotest.(check bool) "sound" true (windowed <= opt)
-  | None -> Alcotest.fail "budget"
+  | Ivc_exact.Cp.Optimal (opt, _) ->
+      Alcotest.(check bool) "sound" true (windowed <= opt)
+  | Ivc_exact.Cp.Bounds _ -> Alcotest.fail "budget"
 
 let test_windowed_bound_on_3d_is_zero () =
   let inst = Util.random_inst3 ~seed:121 ~x:2 ~y:2 ~z:2 ~bound:5 in
@@ -49,8 +50,8 @@ let prop_windowed_bound_sound =
   Util.qtest ~count:30 "windowed odd-cycle bound below optimum" Util.gen_inst2
     (fun inst ->
       match Ivc_exact.Cp.optimize ~budget:1_000_000 inst with
-      | None -> QCheck2.assume_fail ()
-      | Some (opt, _) ->
+      | Ivc_exact.Cp.Bounds _ -> QCheck2.assume_fail ()
+      | Ivc_exact.Cp.Optimal (opt, _) ->
           Ivc.Bounds.windowed_odd_cycle_lb inst <= opt
           && Ivc.Bounds.windowed_odd_cycle_lb ~window:4 inst <= opt)
 

@@ -2,8 +2,8 @@
    kind, exhaustive truncation and single-bit corruption (every way a
    snapshot file can be damaged must map to a typed error, never an
    exception or a silent wrong resume), autosave cadence, atomic
-   installs, and deterministic kill-resume equivalence for the order
-   branch-and-bound, CP, iterated greedy and fuzz-campaign loops. *)
+   installs, and deterministic kill-resume equivalence for the CP,
+   iterated greedy and fuzz-campaign loops. *)
 
 module S = Ivc_grid.Stencil
 module Codec = Ivc_persist.Codec
@@ -11,9 +11,7 @@ module Snapshot = Ivc_persist.Snapshot
 module Autosave = Ivc_persist.Autosave
 module Wal = Ivc_persist.Wal
 module Scrub = Ivc_persist.Scrub
-module Order_bb = Ivc_exact.Order_bb
 module Cp = Ivc_exact.Cp
-module Optimize = Ivc_exact.Optimize
 module It = Ivc.Iterated
 module Driver = Ivc_resilient.Driver
 module Fuzz = Ivc_check.Fuzz
@@ -202,34 +200,33 @@ let test_version_mismatch_is_typed () =
 
 let snap_of kind payload = { Snapshot.kind; payload }
 
-let test_order_bb_payload_roundtrip () =
+(* A snapshot of the order-space branch-and-bound, which older builds
+   ran on the solve path and checkpointed: its kind is no longer
+   resumable, so the portfolio's decoder rejects it by kind and the
+   caller solves fresh. The payload is that engine's layout (instance
+   fingerprint, lower bound, incumbent, its starts, node count, DFS
+   path). *)
+let test_stale_order_bb_rejected () =
   let inst = inst () in
-  let n = S.n_vertices inst in
   let starts = Ivc.Heuristics.gll inst in
-  let c =
-    {
-      (Order_bb.checkpoint_of_incumbent inst ~lb:3
-         ~best:(Util.maxcolor inst starts)
-         ~best_starts:starts)
-      with
-      Order_bb.nodes = 12345;
-      path = [| 0; n - 1; 2 |];
-    }
-  in
-  let snap = snap_of Order_bb.kind (Order_bb.encode_checkpoint c) in
+  let b = Codec.W.create () in
+  Codec.W.i64 b (Snapshot.fingerprint inst);
+  Codec.W.int b 3;
+  Codec.W.int b (Util.maxcolor inst starts);
+  Codec.W.int_array b starts;
+  Codec.W.int b 12345;
+  Codec.W.int_array b [| 0; S.n_vertices inst - 1; 2 |];
+  let snap = snap_of "order-bb" (Codec.W.contents b) in
   match
     Result.bind
       (Snapshot.of_string (Snapshot.to_string snap))
-      (Order_bb.decode_checkpoint ~inst)
+      (Driver.decode_resume ~inst)
   with
-  | Ok c' ->
-      Alcotest.(check int) "lb" c.Order_bb.lb c'.Order_bb.lb;
-      Alcotest.(check int) "best" c.Order_bb.best c'.Order_bb.best;
-      Alcotest.(check int) "nodes" c.Order_bb.nodes c'.Order_bb.nodes;
-      Alcotest.(check (array int)) "starts" c.Order_bb.best_starts
-        c'.Order_bb.best_starts;
-      Alcotest.(check (array int)) "path" c.Order_bb.path c'.Order_bb.path
-  | Error e -> Alcotest.failf "decode failed: %s" (Snapshot.error_to_string e)
+  | Error (Snapshot.Wrong_kind { expected; got }) ->
+      Alcotest.(check string) "expected" Cp.kind expected;
+      Alcotest.(check string) "got" "order-bb" got
+  | other ->
+      Alcotest.failf "stale order-bb snapshot accepted: %s" (err_str other)
 
 let test_cp_payload_roundtrip () =
   let inst = inst () in
@@ -357,62 +354,84 @@ let test_fuzz_payload_roundtrip () =
 
 (* ---- fail-closed dispatch -------------------------------------------- *)
 
+let cp_checkpoint inst =
+  {
+    Cp.fp = Snapshot.fingerprint inst;
+    lo = 4;
+    hi = 9;
+    best_starts = Ivc.Heuristics.gll inst;
+    probe = None;
+  }
+
 let test_wrong_kind_and_instance () =
   let inst = inst () in
-  let starts = Ivc.Heuristics.gll inst in
-  let bb =
-    Order_bb.checkpoint_of_incumbent inst ~lb:3
-      ~best:(Util.maxcolor inst starts) ~best_starts:starts
-  in
-  let bb_snap = snap_of Order_bb.kind (Order_bb.encode_checkpoint bb) in
-  (* wrong solver: an order-bb snapshot handed to the CP decoder *)
-  (match Cp.decode_checkpoint ~inst bb_snap with
+  let cp = cp_checkpoint inst in
+  let cp_snap = snap_of Cp.kind (Cp.encode_checkpoint cp) in
+  (* wrong solver: a cp-opt snapshot handed to the iterated decoder *)
+  (match
+     It.decode_checkpoint ~inst ~passes:[ It.Reverse; It.Cliques; It.Restart ]
+       cp_snap
+   with
   | Error (Snapshot.Wrong_kind { expected; got }) ->
-      Alcotest.(check string) "expected" Cp.kind expected;
-      Alcotest.(check string) "got" Order_bb.kind got
+      Alcotest.(check string) "expected" It.kind expected;
+      Alcotest.(check string) "got" Cp.kind got
   | other -> Alcotest.failf "wrong kind accepted: %s" (err_str other));
   (* wrong instance: same dims, different weights *)
-  (match Order_bb.decode_checkpoint ~inst:(other_inst ()) bb_snap with
+  (match Cp.decode_checkpoint ~inst:(other_inst ()) cp_snap with
   | Error Snapshot.Instance_mismatch -> ()
   | other -> Alcotest.failf "wrong instance accepted: %s" (err_str other));
-  (* out-of-range path cursor *)
-  let bad = { bb with Order_bb.path = [| S.n_vertices inst + 3 |] } in
+  (* a probe that is not the bracket's midpoint *)
+  let bad = { cp with Cp.probe = Some { Cp.k = 8; nodes = 3; path = [||] } } in
   (match
-     Order_bb.decode_checkpoint ~inst
-       (snap_of Order_bb.kind (Order_bb.encode_checkpoint bad))
+     Cp.decode_checkpoint ~inst (snap_of Cp.kind (Cp.encode_checkpoint bad))
    with
   | Error (Snapshot.Bad_payload _) -> ()
-  | other -> Alcotest.failf "bad path accepted: %s" (err_str other));
-  (* an unknown kind through the front-end dispatchers *)
-  (match Optimize.plan_resume ~inst (snap_of "fuzz" "x") with
+  | other -> Alcotest.failf "bad probe accepted: %s" (err_str other));
+  (* an unknown kind through the exact decoder and the portfolio's *)
+  (match Cp.decode_checkpoint ~inst (snap_of "fuzz" "x") with
   | Error (Snapshot.Wrong_kind _) -> ()
   | other -> Alcotest.failf "fuzz kind accepted by exact: %s" (err_str other));
   match Driver.decode_resume ~inst (snap_of "nonsense" "x") with
   | Error (Snapshot.Wrong_kind _) -> ()
   | other -> Alcotest.failf "nonsense kind accepted: %s" (err_str other)
 
+(* [Driver.decode_resume] turns each kind the portfolio and its stages
+   write into the plan that resumes it. *)
 let test_plan_resume_dispatch () =
   let inst = inst () in
   let starts = Ivc.Heuristics.gll inst in
-  let bb =
-    Order_bb.checkpoint_of_incumbent inst ~lb:3
-      ~best:(Util.maxcolor inst starts) ~best_starts:starts
+  let decode snap = Driver.decode_resume ~inst snap in
+  let cp = Cp.encode_checkpoint (cp_checkpoint inst) in
+  (match decode (snap_of Cp.kind cp) with
+  | Ok (Driver.Exact_stage c) -> Alcotest.(check int) "cp hi" 9 c.Cp.hi
+  | other -> Alcotest.failf "cp did not dispatch: %s" (err_str other));
+  let passes = [ It.Reverse; It.Cliques; It.Restart ] in
+  let it =
+    {
+      It.fp = Snapshot.fingerprint inst;
+      passes = Array.of_list (List.map It.pass_tag passes);
+      round = 1;
+      pass_idx = 0;
+      round_before = 0;
+      best = starts;
+      cur = starts;
+    }
   in
-  (match
-     Optimize.plan_resume ~inst
-       (snap_of Order_bb.kind (Order_bb.encode_checkpoint bb))
-   with
-  | Ok (Optimize.Order_bb_plan _) -> ()
-  | other -> Alcotest.failf "order-bb did not dispatch: %s" (err_str other));
-  let cp =
-    { Cp.fp = Snapshot.fingerprint inst; lo = 4; hi = 9;
-      best_starts = starts; probe = None }
+  (match decode (snap_of It.kind (It.encode_checkpoint it)) with
+  | Ok (Driver.Improve _) -> ()
+  | other -> Alcotest.failf "iterated did not dispatch: %s" (err_str other));
+  let seed =
+    {
+      Driver.fp = Snapshot.fingerprint inst;
+      lb = 5;
+      starts;
+      prov = Driver.Fallback;
+      proven = false;
+    }
   in
-  match
-    Optimize.plan_resume ~inst (snap_of Cp.kind (Cp.encode_checkpoint cp))
-  with
-  | Ok (Optimize.Cp_plan _) -> ()
-  | other -> Alcotest.failf "cp did not dispatch: %s" (err_str other)
+  match decode (snap_of Driver.driver_kind (Driver.encode_seed seed)) with
+  | Ok (Driver.Seed _) -> ()
+  | other -> Alcotest.failf "driver did not dispatch: %s" (err_str other)
 
 (* ---- autosave + atomic install --------------------------------------- *)
 
@@ -454,56 +473,13 @@ let test_load_missing_is_unreadable () =
 
 exception Killed
 
-(* Kill the solver (by raising from the autosave hook, i.e. exactly at
-   a checkpoint boundary, the snapshot already installed) [kills] times
-   at increasing save ordinals, resuming each time, and require the
-   final status to be identical to an uninterrupted run with the same
-   cumulative budget. *)
-let test_kill_resume_order_bb () =
-  let inst = Util.random_inst2 ~seed:4242 ~x:8 ~y:8 ~bound:19 in
-  let budget = 4_000 in
-  let reference = Order_bb.solve ~node_budget:budget inst in
-  with_temp @@ fun path ->
-  let resumed = ref 0 in
-  let rec attempt resume =
-    let kill_at = !resumed + 2 in
-    let a =
-      Autosave.make ~every_s:0.0
-        ~on_save:(fun s -> if s >= kill_at && !resumed < 3 then raise Killed)
-        path
-    in
-    match Order_bb.solve ~node_budget:budget ~autosave:a ?resume inst with
-    | status -> status
-    | exception Killed -> (
-        incr resumed;
-        match
-          Result.bind (Snapshot.load path) (Order_bb.decode_checkpoint ~inst)
-        with
-        | Ok c -> attempt (Some c)
-        | Error e ->
-            Alcotest.failf "reload after kill %d failed: %s" !resumed
-              (Snapshot.error_to_string e))
-  in
-  let final = attempt None in
-  Alcotest.(check bool) "was killed at least once" true (!resumed >= 1);
-  Alcotest.(check bool) "same optimality" (Order_bb.is_optimal reference)
-    (Order_bb.is_optimal final);
-  Alcotest.(check int) "same lower bound"
-    (Order_bb.lower_bound_of reference)
-    (Order_bb.lower_bound_of final);
-  Alcotest.(check int) "same upper bound"
-    (Order_bb.upper_bound_of reference)
-    (Order_bb.upper_bound_of final);
-  Util.check_valid inst (Order_bb.starts_of final)
-
-(* The same for the CP bracket: kills land inside a decision probe
-   (every probe node is a checkpoint), the resume replays the probe's
-   decision path, and the result must be the uninterrupted run's
-   optimum and witness. *)
-let test_kill_resume_cp () =
-  let inst = Ivc_check.Gen.small3 ~seed:5 in
-  let budget = 2_000 in
-  let reference = Cp.optimize ~budget inst in
+(* Kill [Cp.optimize] (by raising from the autosave hook, i.e. exactly
+   at a checkpoint boundary, the snapshot already installed) three times
+   at increasing save ordinals, resuming each time, and return the final
+   result. Every kill must land inside a decision probe (every probe
+   node is a checkpoint), so each resume replays the probe's decision
+   path. *)
+let cp_killed_thrice inst ~budget =
   with_temp @@ fun path ->
   let resumed = ref 0 and mid_probe = ref 0 in
   let rec attempt resume =
@@ -528,8 +504,30 @@ let test_kill_resume_cp () =
   let final = attempt None in
   Alcotest.(check int) "killed three times" 3 !resumed;
   Alcotest.(check int) "every kill inside a probe" 3 !mid_probe;
-  match (reference, final) with
-  | Some (opt, starts), Some (opt', starts') ->
+  final
+
+(* A CP solve whose last probe runs out of its node budget, killed
+   inside that probe: budgets are cumulative, so the resumed run ends
+   on the uninterrupted run's bracket and witness. Probes 44 and 43
+   close in 21 and 18 nodes and probe 42 needs 280 (see the pinned
+   search in test_exact), so at 279 the bracket stops at [42, 43]. *)
+let test_kill_resume_cp_bracket () =
+  let inst = Ivc_check.Gen.small3 ~seed:5 in
+  let budget = 279 in
+  match (Cp.optimize ~budget inst, cp_killed_thrice inst ~budget) with
+  | (Cp.Bounds (lo, hi, starts) as reference), final ->
+      Alcotest.(check (pair int int)) "bracket" (42, 43) (lo, hi);
+      Alcotest.(check bool) "same bracket and witness" true (final = reference);
+      Util.check_valid inst starts
+  | Cp.Optimal _, _ -> Alcotest.fail "the last probe should run out"
+
+(* A CP solve that closes, killed inside its probes: the result must be
+   the uninterrupted run's optimum and witness. *)
+let test_kill_resume_cp () =
+  let inst = Ivc_check.Gen.small3 ~seed:5 in
+  let budget = 2_000 in
+  match (Cp.optimize ~budget inst, cp_killed_thrice inst ~budget) with
+  | Cp.Optimal (opt, starts), Cp.Optimal (opt', starts') ->
       Alcotest.(check int) "same optimum" opt opt';
       Alcotest.(check (array int)) "same witness" starts starts';
       Util.check_valid inst starts'
@@ -538,52 +536,34 @@ let test_kill_resume_cp () =
 (* A kill costs no budget: the resume enters the node the snapshot was
    written at again without counting it twice, so at the smallest budget
    that closes an uninterrupted run, a run killed mid-search closes as
-   well, in both engines. *)
+   well. *)
 let test_kill_resume_exact_budget () =
   with_temp @@ fun path ->
-  let killed_at save solve decode =
-    let a =
-      Autosave.make ~every_s:0.0
-        ~on_save:(fun s -> if s = save then raise Killed)
-        path
-    in
-    match solve (Some a) None with
-    | _ -> Alcotest.fail "the kill did not fire"
-    | exception Killed -> (
-        match Result.bind (Snapshot.load path) decode with
-        | Ok c -> solve None (Some c)
-        | Error e -> Alcotest.failf "reload: %s" (Snapshot.error_to_string e))
-  in
-  (* order-BB: the smallest closing budget is the uninterrupted node count *)
-  let inst = Ivc_check.Gen.small2 ~seed:171 in
-  let bb_nodes = Ivc_obs.Counter.make "exact.bb_nodes" in
-  let was = Ivc_obs.enabled () in
-  Ivc_obs.set_enabled true;
-  let n0 = Ivc_obs.Counter.value bb_nodes in
-  ignore (Order_bb.solve ~node_budget:max_int inst);
-  let need = Ivc_obs.Counter.value bb_nodes - n0 in
-  Ivc_obs.set_enabled was;
-  let bb budget autosave resume =
-    Order_bb.solve ~node_budget:budget ?autosave ?resume inst
-  in
-  Alcotest.(check bool) "order-bb closes at its node count" true
-    (Order_bb.is_optimal (bb need None None));
-  Alcotest.(check bool) "order-bb: one node less does not" false
-    (Order_bb.is_optimal (bb (need - 1) None None));
-  Alcotest.(check bool) "order-bb killed once still closes" true
-    (Order_bb.is_optimal
-       (killed_at 1 (bb need) (Order_bb.decode_checkpoint ~inst)));
-  (* CP: probes 44, 43 and 42 take 21, 18 and 280 nodes (see the pinned
+  (* probes 44, 43 and 42 take 21, 18 and 280 nodes (see the pinned
      search in test_exact), and the kill lands in the last one *)
   let inst = Ivc_check.Gen.small3 ~seed:5 in
   let cp budget autosave resume =
     Cp.optimize ~budget ?autosave ?resume inst
   in
+  let closes = function Cp.Optimal _ -> true | Cp.Bounds _ -> false in
   Alcotest.(check bool) "cp closes at 280 nodes a probe" true
-    (cp 280 None None <> None);
-  Alcotest.(check bool) "cp: 279 does not" true (cp 279 None None = None);
+    (closes (cp 280 None None));
+  Alcotest.(check bool) "cp: 279 does not" false (closes (cp 279 None None));
+  let killed_at save =
+    let a =
+      Autosave.make ~every_s:0.0
+        ~on_save:(fun s -> if s = save then raise Killed)
+        path
+    in
+    match cp 280 (Some a) None with
+    | _ -> Alcotest.fail "the kill did not fire"
+    | exception Killed -> (
+        match Result.bind (Snapshot.load path) (Cp.decode_checkpoint ~inst) with
+        | Ok c -> cp 280 None (Some c)
+        | Error e -> Alcotest.failf "reload: %s" (Snapshot.error_to_string e))
+  in
   Alcotest.(check bool) "cp killed inside a probe still closes" true
-    (killed_at 100 (cp 280) (Cp.decode_checkpoint ~inst) = cp 280 None None)
+    (killed_at 100 = cp 280 None None)
 
 let test_kill_resume_iterated () =
   let inst = Util.random_inst2 ~seed:4243 ~x:9 ~y:9 ~bound:15 in
@@ -872,8 +852,8 @@ let suite =
     Alcotest.test_case "single-bit corruption" `Quick
       test_single_bit_corruption;
     Alcotest.test_case "version mismatch" `Quick test_version_mismatch_is_typed;
-    Alcotest.test_case "order-bb payload round-trip" `Quick
-      test_order_bb_payload_roundtrip;
+    Alcotest.test_case "stale order-bb rejected" `Quick
+      test_stale_order_bb_rejected;
     Alcotest.test_case "cp payload round-trip" `Quick test_cp_payload_roundtrip;
     Alcotest.test_case "iterated payload round-trip" `Quick
       test_iterated_payload_roundtrip;
@@ -889,7 +869,8 @@ let suite =
       test_save_atomic_overwrites;
     Alcotest.test_case "missing file is Unreadable" `Quick
       test_load_missing_is_unreadable;
-    Alcotest.test_case "kill-resume: order-bb" `Quick test_kill_resume_order_bb;
+    Alcotest.test_case "kill-resume: cp bracket" `Quick
+      test_kill_resume_cp_bracket;
     Alcotest.test_case "kill-resume: iterated" `Quick test_kill_resume_iterated;
     Alcotest.test_case "kill-resume: fuzz campaign" `Quick
       test_kill_resume_fuzz;

@@ -108,8 +108,7 @@ let outcome_certifies inst (o : Driver.outcome) =
   | Ok mc -> mc = o.Driver.maxcolor
   | Error _ -> false)
   && o.Driver.lower_bound <= o.Driver.maxcolor
-  && (not o.Driver.proven_optimal
-     || o.Driver.lower_bound = o.Driver.maxcolor)
+  && o.Driver.proven_optimal = (o.Driver.lower_bound = o.Driver.maxcolor)
 
 let qtest_portfolio_valid =
   Util.qtest ~count:40 "portfolio outcome always certifies" Util.gen_inst2
@@ -146,6 +145,21 @@ let test_portfolio_exact_on_easy () =
       Alcotest.(check bool) "exact provenance" true
         (o.Driver.provenance = Driver.Exact);
       Alcotest.(check int) "lb meets mc" o.Driver.maxcolor o.Driver.lower_bound
+  | Error e -> Alcotest.fail (Cert.to_string e)
+
+(* An answer at its certified lower bound is proven, whichever stage
+   produced it: with the exact stage off, a K4 block colored by the
+   fallback sits at the clique bound, and the provenance still names
+   the fallback. *)
+let test_portfolio_proven_at_bound () =
+  let inst = S.make2 ~x:2 ~y:2 [| 3; 2; 1; 4 |] in
+  match Driver.solve ~exact:false ~improve:false inst with
+  | Ok o ->
+      Alcotest.(check int) "maxcolor at the clique bound" 10 o.Driver.maxcolor;
+      Alcotest.(check int) "lower bound" 10 o.Driver.lower_bound;
+      Alcotest.(check bool) "proven optimal" true o.Driver.proven_optimal;
+      Alcotest.(check bool) "provenance names the fallback" true
+        (o.Driver.provenance = Driver.Fallback)
   | Error e -> Alcotest.fail (Cert.to_string e)
 
 (* ---- cancellation inside the solvers ----------------------------------- *)
@@ -339,4 +353,6 @@ let suite =
     Alcotest.test_case "pool failure counters" `Quick test_pool_failure_counters;
     Alcotest.test_case "stkde under faults" `Quick
       test_stkde_faulty_matches_sequential;
+    Alcotest.test_case "portfolio proven at bound" `Quick
+      test_portfolio_proven_at_bound;
   ]

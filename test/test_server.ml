@@ -40,9 +40,10 @@ let fast_opts =
     use_cache = true;
   }
 
-(* Burns its whole deadline: on [hard_inst] (6400 vertices) the
-   improvement stage alone outlasts any deadline the tests use, so a
-   worker running these options is reliably busy until the token
+(* Burns its whole deadline: on [hard_inst] the exact stage, at the
+   daemon's default budget, does not close the gap between the lower
+   bound 62 and the incumbent 63 within any deadline the tests use, so
+   a worker running these options is reliably busy until the token
    expires. *)
 let slow_opts seconds =
   {
@@ -54,7 +55,7 @@ let slow_opts seconds =
   }
 
 let small_inst = Util.random_inst2 ~seed:7 ~x:8 ~y:8 ~bound:4
-let hard_inst = Util.random_inst2 ~seed:42 ~x:80 ~y:80 ~bound:200
+let hard_inst = Util.random_inst2 ~seed:1 ~x:12 ~y:12 ~bound:20
 
 (* ---- body codecs ------------------------------------------------------ *)
 
